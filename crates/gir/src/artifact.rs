@@ -215,88 +215,48 @@ impl PinnedModel {
             .map(|(y, _)| y)
     }
 
-    /// [`PinnedModel::infer`] returning the accumulated accelerator
-    /// statistics alongside the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on simulator failures.
-    pub fn infer_with_stats(&mut self, input: &[f32]) -> Result<(Vec<f32>, RunStats), DeployError> {
-        self.deployment.execute(&mut self.npus, input)
-    }
-
-    /// [`PinnedModel::infer_with_stats`] with span tracing: installs a
-    /// [`SpanCollector`] on every pinned device for the duration of the
-    /// call, stamping each span with `trace_id` and the device ordinal,
-    /// then uninstalls the sinks and drains the collected spans. Tracing
-    /// state does not persist across calls, so a traced inference leaves
-    /// the instance exactly as a plain one does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on simulator failures.
-    pub fn infer_traced(
-        &mut self,
-        input: &[f32],
-        trace_id: TraceId,
-    ) -> Result<(Vec<f32>, RunStats, Vec<SpanRecord>), DeployError> {
-        let collector = SpanCollector::new();
-        for (d, npu) in self.npus.iter_mut().enumerate() {
-            npu.set_trace_sink(Some(collector.handle()));
-            npu.set_trace_context(trace_id, d as u32);
-        }
-        let result = self.deployment.execute(&mut self.npus, input);
-        for npu in &mut self.npus {
-            npu.set_trace_sink(None);
-            npu.set_trace_context(0, 0);
-        }
-        let (output, stats) = result?;
-        Ok((output, stats, collector.drain()))
-    }
-
     /// Runs a coalesced micro-batch through the pinned devices: one
     /// multi-column dispatch per accelerator segment
     /// ([`Deployment::execute_batch`]), returning per-column outputs in
-    /// input order plus the accumulated statistics for the whole batch.
-    /// Outputs are bit-identical to calling
-    /// [`PinnedModel::infer_with_stats`] once per input.
+    /// input order, the accumulated statistics for the whole batch, and
+    /// the collected spans. Outputs are bit-identical to calling
+    /// [`PinnedModel::infer`] once per input; a batch of one is exactly
+    /// one batch-1 inference.
     ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on simulator failures.
-    pub fn infer_batch(
-        &mut self,
-        inputs: &[Vec<f32>],
-    ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        self.deployment.execute_batch(&mut self.npus, inputs)
-    }
-
-    /// [`PinnedModel::infer_batch`] with span tracing, stamping every
-    /// span — including the per-column
-    /// [`SpanKind::BatchColumn`](bw_core::SpanKind) records — with
-    /// `trace_id`. Tracing state does not persist across calls.
+    /// With `trace` set, a [`SpanCollector`] is installed on every pinned
+    /// device for the duration of the call, stamping each span
+    /// (including the per-column
+    /// [`SpanKind::BatchColumn`](bw_core::SpanKind) records) with the
+    /// trace id and the device ordinal. Tracing state does not persist
+    /// across calls; untraced calls return no spans.
     ///
     /// # Errors
     ///
     /// Returns [`DeployError`] on simulator failures.
     #[allow(clippy::type_complexity)]
-    pub fn infer_batch_traced(
+    pub fn infer_batch(
         &mut self,
         inputs: &[Vec<f32>],
-        trace_id: TraceId,
+        trace: Option<TraceId>,
     ) -> Result<(Vec<Vec<f32>>, RunStats, Vec<SpanRecord>), DeployError> {
-        let collector = SpanCollector::new();
-        for (d, npu) in self.npus.iter_mut().enumerate() {
-            npu.set_trace_sink(Some(collector.handle()));
-            npu.set_trace_context(trace_id, d as u32);
-        }
+        let collector = trace.map(|trace_id| {
+            let collector = SpanCollector::new();
+            for (d, npu) in self.npus.iter_mut().enumerate() {
+                npu.set_trace_sink(Some(collector.handle()));
+                npu.set_trace_context(trace_id, d as u32);
+            }
+            collector
+        });
         let result = self.deployment.execute_batch(&mut self.npus, inputs);
-        for npu in &mut self.npus {
-            npu.set_trace_sink(None);
-            npu.set_trace_context(0, 0);
+        if collector.is_some() {
+            for npu in &mut self.npus {
+                npu.set_trace_sink(None);
+                npu.set_trace_context(0, 0);
+            }
         }
         let (outputs, stats) = result?;
-        Ok((outputs, stats, collector.drain()))
+        let spans = collector.map_or_else(Vec::new, |c| c.drain());
+        Ok((outputs, stats, spans))
     }
 
     /// Input dimension one inference consumes.

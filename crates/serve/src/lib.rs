@@ -11,18 +11,19 @@
 //! - [`ModelRegistry`] — the published catalog of compiled
 //!   [`ModelArtifact`]s (firmware + BFP weights, via `bw-gir`);
 //! - worker threads — each pins every registered model onto its own
-//!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one
-//!   batch-1 inference at a time;
+//!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one job
+//!   (a request, or a coalesced batch of columns) at a time;
 //! - a router — the same three policies `bw-system` models analytically
 //!   (round-robin / random / least-outstanding), applied to live queues;
-//! - a request lifecycle — deadlines, retry-with-failover onto replicas
-//!   on timeout or injected worker fault, and load shedding when every
+//! - one request lifecycle for batch-1, coalesced batches and shard
+//!   groups alike — deadlines, retry-with-failover onto replicas on
+//!   timeout or injected worker fault, and load shedding when every
 //!   replica's queue is full;
 //! - scale-out — a model too large for one device registers as a shard
 //!   group ([`ServerBuilder::sharded_model`] over
 //!   [`bw_gir::ShardedArtifact`]): shards pin on disjoint worker sets
-//!   and a scatter/gather coordinator serves the group name
-//!   bit-identically to single-device execution, charging every
+//!   and the same lifecycle scatters and gathers each stage of the
+//!   group, bit-identically to single-device execution, charging every
 //!   transfer leg against a configurable [`NetworkModel`];
 //! - [`MetricsSnapshot`] — per-model counters and log-bucketed latency
 //!   histograms (p50/p99/p99.9) with the accounting identity

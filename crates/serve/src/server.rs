@@ -4,19 +4,23 @@
 //!
 //! One [`Server`] is one published pool of hardware-microservice
 //! instances (§II-A): every worker pins every registered whole model, a
-//! [`Router`] picks replicas per request, and the [`Client`] drives the
-//! request lifecycle:
+//! [`Router`] picks replicas per request, and the [`Client`] drives one
+//! request lifecycle for every request shape — k columns (batch-1 or a
+//! coalesced batch) over a plan of stages, each fanned out over shards
+//! (one stage of one shard for a whole model):
 //!
-//! 1. **admission** — validate model and input, count `submitted`, pick a
-//!    replica; if every live replica's queue is full, *shed* immediately;
-//! 2. **attempt** — wait for the replica up to the attempt timeout (or
+//! 1. **admission** — validate model and each column, count `submitted`,
+//!    dispatch stage 0; if every live replica's queue is full, *shed*
+//!    immediately;
+//! 2. **attempt** — wait for each shard up to the attempt timeout (or
 //!    the remaining deadline, whichever is sooner);
 //! 3. **failover** — on worker fault, worker death, or attempt timeout,
-//!    re-dispatch to a replica that has not served this request yet,
+//!    re-dispatch that shard to a replica that has not served it yet,
 //!    up to `max_retries` times within the deadline;
-//! 4. **termination** — exactly one of completed / shed / failed, always
-//!    recorded in the metrics: `completed + shed + failed == submitted`
-//!    once nothing is in flight.
+//! 4. **termination** — exactly one of completed / shed / failed per
+//!    column, always recorded in the metrics:
+//!    `completed + shed + failed == submitted` once nothing is in
+//!    flight.
 //!
 //! # Scale-out: shard groups over the network
 //!
@@ -55,7 +59,7 @@ use crate::request::{
 };
 use crate::router::Router;
 use crate::worker::{
-    spawn_worker, Completion, Control, DispatchRefused, Job, Payload, WorkerHandle,
+    spawn_worker, Completion, Control, DispatchRefused, Job, Served, WorkerHandle,
 };
 
 /// Sampled request traces retained before the oldest is dropped.
@@ -384,13 +388,6 @@ impl ServerInner {
         log.push_back(record);
     }
 
-    /// Whether the flight recorder wants a failure record for a
-    /// terminal error (shed requests never got capacity — they are an
-    /// admission outcome, not a serving failure worth a span tree).
-    fn flight_wants_failure(&self, err: &ServeError) -> bool {
-        self.cfg.flight_recorder.is_some() && !err.is_shed()
-    }
-
     fn prometheus(&self) -> String {
         let mut text = self.prometheus_base();
         for render in self.extra_prom.read().iter() {
@@ -450,71 +447,6 @@ impl ServerInner {
         self.links[worker].record(bytes, s);
         s
     }
-
-    /// Walks the router's plan and enqueues the job on the first replica
-    /// that both pins the model slot and is reachable over a live link.
-    /// Returns the worker id, or what stopped dispatch.
-    fn dispatch(
-        &self,
-        spec: &DispatchSpec,
-        input: &Arc<Vec<f32>>,
-        tried: &[usize],
-    ) -> Result<(usize, Receiver<Completion>), DispatchStopped> {
-        self.dispatch_payload(spec, &Payload::Single(Arc::clone(input)), tried)
-    }
-
-    /// [`ServerInner::dispatch`] generalized over the payload shape: the
-    /// batcher dispatches a whole coalesced [`Payload::Batch`] through
-    /// the same routing, liveness, and bounded-queue admission as a
-    /// single request.
-    fn dispatch_payload(
-        &self,
-        spec: &DispatchSpec,
-        payload: &Payload,
-        tried: &[usize],
-    ) -> Result<(usize, Receiver<Completion>), DispatchStopped> {
-        let net = self.network();
-        let plan = self.router.plan_eligible(&self.workers, tried, |w| {
-            self.workers[w].pins(spec.model) && net.link_up(w)
-        });
-        if plan.is_empty() {
-            return Err(DispatchStopped::NoReplica);
-        }
-        let mut all_full = true;
-        for worker in plan {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let job = Job {
-                attempt: spec.attempt,
-                model: spec.model,
-                payload: payload.clone(),
-                deadline: spec.deadline,
-                reply: tx,
-                trace_id: spec.trace_id,
-                enqueued_at: Instant::now(),
-                collect_spans: spec.collect_spans,
-            };
-            match self.workers[worker].try_dispatch(job) {
-                Ok(()) => return Ok((worker, rx)),
-                Err(DispatchRefused::QueueFull) => {}
-                Err(DispatchRefused::Dead) => all_full = false,
-            }
-        }
-        if all_full {
-            Err(DispatchStopped::AllFull)
-        } else {
-            Err(DispatchStopped::NoReplica)
-        }
-    }
-}
-
-/// Per-attempt dispatch parameters (the request-constant ones plus the
-/// attempt ordinal).
-struct DispatchSpec {
-    attempt: u32,
-    model: usize,
-    deadline: Instant,
-    trace_id: u64,
-    collect_spans: bool,
 }
 
 enum DispatchStopped {
@@ -1222,145 +1154,15 @@ impl Client {
         input: &[f32],
         deadline: Duration,
     ) -> Result<Pending, ServeError> {
-        let inner = &self.inner;
-        let (model_idx, expected, bound) = {
-            let registry = inner.registry.read();
-            if let Some(group_idx) = registry.group_index_of(model) {
-                drop(registry);
-                return self.submit_group(group_idx, input, deadline);
-            }
-            let Some(model_idx) = registry.index_of(model) else {
-                return Err(ServeError::UnknownModel(model.to_owned()));
-            };
-            let expected = registry.get(model_idx).expect("index valid").input_dim();
-            (model_idx, expected, inner.slot_bounds.read()[model_idx])
-        };
-        if input.len() != expected {
-            return Err(ServeError::BadInput {
-                expected,
-                got: input.len(),
-            });
+        let item = BatchItem::new(input.to_vec(), deadline);
+        let (mut rejected, life) = self.admit(model, std::slice::from_ref(&item), false)?;
+        if let Some(err) = rejected.pop().flatten() {
+            return Err(err);
         }
-        check_sla(model, bound, deadline)?;
-
-        let metrics = inner.model_metric(model_idx);
-        metrics.submitted.fetch_add(1, Ordering::Relaxed);
-
-        let submitted = Instant::now();
-        let deadline_at = submitted + deadline;
-        let request_id = inner.next_request_id();
-        let input = Arc::new(input.to_vec());
-        // The flight recorder decides retention at termination, but
-        // workers only emit spans when asked at dispatch — so an armed
-        // recorder traces every request and discards the uninteresting
-        // ones, while head sampling keeps feeding the trace log.
-        let collect_spans =
-            head_sampled(&inner.cfg, request_id) || inner.cfg.flight_recorder.is_some();
-        let spec = DispatchSpec {
-            attempt: 0,
-            model: model_idx,
-            deadline: deadline_at,
-            trace_id: request_id,
-            collect_spans,
-        };
-
-        match inner.dispatch(&spec, &input, &[]) {
-            Ok((worker, rx)) => Ok(Pending {
-                state: PendingState::Single(SinglePending {
-                    inner: Arc::clone(inner),
-                    request_id,
-                    model_idx,
-                    model: model.to_owned(),
-                    metrics,
-                    input,
-                    submitted,
-                    deadline: deadline_at,
-                    attempt: 0,
-                    tried: vec![worker],
-                    retries: 0,
-                    collect_spans,
-                    rx,
-                    settled: false,
-                }),
-            }),
-            Err(DispatchStopped::AllFull) => {
-                metrics.shed.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Shed {
-                    model: model.to_owned(),
-                })
-            }
-            Err(DispatchStopped::NoReplica) => {
-                metrics.failed.fetch_add(1, Ordering::Relaxed);
-                let err = ServeError::NoReplica {
-                    model: model.to_owned(),
-                };
-                if inner.flight_wants_failure(&err) {
-                    inner.push_flight(flight_failure(request_id, model, &err.to_string()));
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// Admits and scatters segment 0 of a shard-group request; the
-    /// returned [`Pending`] drives the remaining segments.
-    fn submit_group(
-        &self,
-        group_idx: usize,
-        input: &[f32],
-        deadline: Duration,
-    ) -> Result<Pending, ServeError> {
-        let inner = &self.inner;
-        let (name, input_dim) = {
-            let registry = inner.registry.read();
-            let group = registry.group(group_idx).expect("index valid");
-            (group.name.clone(), group.input_dim)
-        };
-        if input.len() != input_dim {
-            return Err(ServeError::BadInput {
-                expected: input_dim,
-                got: input.len(),
-            });
-        }
-        check_sla(&name, inner.group_bounds[group_idx], deadline)?;
-        let metrics = Arc::clone(&inner.group_metrics[group_idx]);
-        metrics.submitted.fetch_add(1, Ordering::Relaxed);
-
-        let submitted = Instant::now();
-        let request_id = inner.next_request_id();
-        let collect_spans =
-            head_sampled(&inner.cfg, request_id) || inner.cfg.flight_recorder.is_some();
-        let mut pending = GroupPending {
-            inner: Arc::clone(inner),
-            request_id,
-            group_idx,
-            metrics,
-            name: name.clone(),
-            submitted,
-            deadline: submitted + deadline,
-            collect_spans,
-            seg_idx: 0,
-            inflight: Vec::new(),
-            carry: Arc::new(input.to_vec()),
-            retries: 0,
-            network_s: 0.0,
-            queue_wait_s: 0.0,
-            service_s: 0.0,
-            stats: RunStats::default(),
-            spans: Vec::new(),
-            last_worker: 0,
-            settled: false,
-        };
-        // Scatter the first segment now, so admission-time shedding
-        // matches the single-model path.
-        match pending.scatter() {
-            Ok(()) => Ok(Pending {
-                state: PendingState::Group(pending),
-            }),
-            Err(DispatchStopped::AllFull) => Err(pending.shed()),
-            Err(DispatchStopped::NoReplica) => {
-                Err(pending.fail(ServeError::NoReplica { model: name }))
-            }
+        let life = life.expect("an admitted request has a lifecycle");
+        match &life.cols[0].outcome {
+            Some(Err(err)) => Err(err.clone()),
+            _ => Ok(Pending { life }),
         }
     }
 
@@ -1379,8 +1181,8 @@ impl Client {
     }
 
     /// Serves a coalesced micro-batch of same-model requests as **one**
-    /// multi-column dispatch, splitting the result back into one
-    /// [`Response`] (or [`ServeError`]) per member, in input order.
+    /// multi-column dispatch per shard, splitting the result back into
+    /// one [`Response`] (or [`ServeError`]) per member, in input order.
     ///
     /// The admission ledger treats every member as its own request:
     /// each gets a request id, counts toward `submitted` when admitted,
@@ -1393,425 +1195,124 @@ impl Client {
     ///
     /// Latency is measured from each member's [`BatchItem::arrived_at`],
     /// so time spent coalescing in a batcher window is charged to the
-    /// request that waited. Shard-group models don't coalesce; they fall
-    /// back to per-member [`Client::call`].
+    /// request that waited. Shard groups coalesce too: every shard of
+    /// every stage runs all k columns in one dispatch.
     pub fn call_batch(
         &self,
         model: &str,
         items: &[BatchItem],
     ) -> Vec<Result<Response, ServeError>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let inner = &self.inner;
-        let (model_idx, expected, bound) = {
-            let registry = inner.registry.read();
-            if registry.group_index_of(model).is_some() {
-                drop(registry);
-                return items
-                    .iter()
-                    .map(|item| {
-                        let budget = item.deadline_at.saturating_duration_since(Instant::now());
-                        self.call(model, &item.input, budget)
-                    })
-                    .collect();
-            }
-            let Some(model_idx) = registry.index_of(model) else {
-                return items
-                    .iter()
-                    .map(|_| Err(ServeError::UnknownModel(model.to_owned())))
-                    .collect();
-            };
-            let expected = registry.get(model_idx).expect("index valid").input_dim();
-            (model_idx, expected, inner.slot_bounds.read()[model_idx])
+        let (rejected, life) = match self.admit(model, items, true) {
+            Ok(admitted) => admitted,
+            Err(err) => return items.iter().map(|_| Err(err.clone())).collect(),
         };
-
-        // Per-member validation: rejected members never count as
-        // submitted and don't hold up the coalesced dispatch.
-        let now = Instant::now();
-        let mut results: Vec<Option<Result<Response, ServeError>>> =
-            items.iter().map(|_| None).collect();
-        let mut admitted: Vec<usize> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if item.input.len() != expected {
-                results[i] = Some(Err(ServeError::BadInput {
-                    expected,
-                    got: item.input.len(),
-                }));
-            } else if let Err(e) = check_sla(
-                model,
-                bound,
-                item.deadline_at.saturating_duration_since(now),
-            ) {
-                results[i] = Some(Err(e));
-            } else {
-                admitted.push(i);
-            }
-        }
-        if !admitted.is_empty() {
-            let member_results = self.drive_batch(model, model_idx, items, &admitted);
-            for (i, r) in admitted.into_iter().zip(member_results) {
-                results[i] = Some(r);
-            }
-        }
-        results
+        let mut served = life.map(Lifecycle::run).unwrap_or_default().into_iter();
+        rejected
             .into_iter()
-            .map(|r| r.expect("every member settled"))
+            .map(|r| match r {
+                Some(err) => Err(err),
+                None => served.next().expect("one outcome per admitted member"),
+            })
             .collect()
     }
 
-    /// Admits and drives the already-validated members of a batch to
-    /// termination: one coalesced dispatch, whole-batch failover, one
-    /// result per member in `admitted` order.
-    fn drive_batch(
+    /// Admission, shared by every request shape: resolves `model` to its
+    /// stage plan, validates each item (a rejected item is `Some` in the
+    /// returned list and never counts as submitted), counts the rest as
+    /// submitted, and dispatches stage 0 of them as one k-column
+    /// [`Lifecycle`]. A full pool sheds here and only here.
+    fn admit(
         &self,
         model: &str,
-        model_idx: usize,
         items: &[BatchItem],
-        admitted: &[usize],
-    ) -> Vec<Result<Response, ServeError>> {
+        batched: bool,
+    ) -> Result<(Vec<Option<ServeError>>, Option<Lifecycle>), ServeError> {
         let inner = &self.inner;
-        let cfg = inner.cfg;
-        let k = admitted.len();
-        let metrics = inner.model_metric(model_idx);
-        metrics.submitted.fetch_add(k as u64, Ordering::Relaxed);
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .batched_requests
-            .fetch_add(k as u64, Ordering::Relaxed);
-
-        let request_ids: Vec<RequestId> =
-            admitted.iter().map(|_| inner.next_request_id()).collect();
-        // The batch deadline (worker expiry + overall wait budget) is the
-        // latest member deadline; earlier members are checked
-        // individually at completion.
-        let batch_deadline = admitted
+        let (metrics, bound, input_dim, plan, members) = {
+            let registry = inner.registry.read();
+            if let Some(g) = registry.group_index_of(model) {
+                let group = registry.group(g).expect("index valid");
+                let plan = group.segments.iter().map(GroupSegment::members).collect();
+                let metrics = Arc::clone(&inner.group_metrics[g]);
+                (metrics, inner.group_bounds[g], group.input_dim, plan, true)
+            } else if let Some(slot) = registry.index_of(model) {
+                let input_dim = registry.get(slot).expect("index valid").input_dim();
+                let bound = inner.slot_bounds.read()[slot];
+                let metrics = inner.model_metric(slot);
+                (metrics, bound, input_dim, vec![vec![slot]], false)
+            } else {
+                return Err(ServeError::UnknownModel(model.to_owned()));
+            }
+        };
+        let now = Instant::now();
+        let rejected: Vec<Option<ServeError>> = items
             .iter()
-            .map(|&i| items[i].deadline_at)
-            .max()
-            .expect("non-empty batch");
-        let trace_id = request_ids[0];
-        let collect_spans =
-            request_ids.iter().any(|&id| head_sampled(&cfg, id)) || cfg.flight_recorder.is_some();
-        let payload = Payload::Batch(Arc::new(
-            admitted.iter().map(|&i| items[i].input.clone()).collect(),
-        ));
-
-        // Terminal outcome of the whole batch, before per-member
-        // splitting.
-        enum BatchOutcome {
-            Served {
-                worker: usize,
-                outputs: Vec<Vec<f32>>,
-                queue_wait_s: f64,
-                service_s: f64,
-                stats: RunStats,
-                spans: Vec<SpanRecord>,
-            },
-            Deadline,
-            Fault(String),
-            NoReplica,
-        }
-
-        let mut attempt: u32 = 0;
-        let mut retries: u32 = 0;
-        let mut tried: Vec<usize> = Vec::new();
-        let spec = DispatchSpec {
-            attempt,
-            model: model_idx,
-            deadline: batch_deadline,
-            trace_id,
-            collect_spans,
-        };
-        let mut rx = match inner.dispatch_payload(&spec, &payload, &tried) {
-            Ok((worker, rx)) => {
-                tried.push(worker);
-                rx
-            }
-            Err(DispatchStopped::AllFull) => {
-                metrics.shed.fetch_add(k as u64, Ordering::Relaxed);
-                return admitted
-                    .iter()
-                    .map(|_| {
-                        Err(ServeError::Shed {
-                            model: model.to_owned(),
-                        })
-                    })
-                    .collect();
-            }
-            Err(DispatchStopped::NoReplica) => {
-                metrics.failed.fetch_add(k as u64, Ordering::Relaxed);
-                return request_ids
-                    .iter()
-                    .map(|&id| {
-                        let err = ServeError::NoReplica {
-                            model: model.to_owned(),
-                        };
-                        if inner.flight_wants_failure(&err) {
-                            inner.push_flight(flight_failure(id, model, &err.to_string()));
-                        }
-                        Err(err)
-                    })
-                    .collect();
-            }
-        };
-
-        let outcome = loop {
-            let now = Instant::now();
-            if now >= batch_deadline {
-                break BatchOutcome::Deadline;
-            }
-            let budget = batch_deadline - now;
-            let slice = cfg.attempt_timeout.map_or(budget, |t| t.min(budget));
-            // Whole-batch failover: retries and re-dispatch cover every
-            // member at once, mirroring the single-request lifecycle.
-            // (The Err side only ever carries the small variants; Served
-            // is built at the loop break.)
-            #[allow(clippy::result_large_err)]
-            let failover = |fault: Option<String>,
-                            attempt: &mut u32,
-                            retries: &mut u32,
-                            tried: &mut Vec<usize>|
-             -> Result<Receiver<Completion>, BatchOutcome> {
-                if *retries >= cfg.max_retries {
-                    return Err(match fault {
-                        Some(message) => BatchOutcome::Fault(message),
-                        None => BatchOutcome::Deadline,
+            .map(|item| {
+                if item.input.len() != input_dim {
+                    return Some(ServeError::BadInput {
+                        expected: input_dim,
+                        got: item.input.len(),
                     });
                 }
-                *retries += 1;
-                *attempt += 1;
-                metrics.retries.fetch_add(k as u64, Ordering::Relaxed);
-                let spec = DispatchSpec {
-                    attempt: *attempt,
-                    model: model_idx,
-                    deadline: batch_deadline,
-                    trace_id,
-                    collect_spans,
-                };
-                match inner.dispatch_payload(&spec, &payload, tried) {
-                    Ok((worker, rx)) => {
-                        tried.push(worker);
-                        Ok(rx)
-                    }
-                    Err(_) => Err(match fault {
-                        Some(message) => BatchOutcome::Fault(message),
-                        None => BatchOutcome::NoReplica,
-                    }),
-                }
-            };
-            match rx.recv_timeout(slice) {
-                Ok(Completion::BatchDone {
-                    attempt: a,
-                    worker,
-                    outputs,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                }) => {
-                    if a != attempt {
-                        continue; // stale attempt; keep waiting
-                    }
-                    break BatchOutcome::Served {
-                        worker,
-                        outputs,
-                        queue_wait_s,
-                        service_s,
-                        stats,
-                        spans,
-                    };
-                }
-                // Batch attempts never carry single payloads.
-                Ok(Completion::Done { .. }) => continue,
-                Ok(Completion::Fault {
-                    attempt: a,
-                    worker,
-                    message,
-                }) => {
-                    if a != attempt {
-                        continue;
-                    }
-                    match failover(
-                        Some(format!("worker {worker}: {message}")),
-                        &mut attempt,
-                        &mut retries,
-                        &mut tried,
-                    ) {
-                        Ok(new_rx) => rx = new_rx,
-                        Err(outcome) => break outcome,
-                    }
-                }
-                Ok(Completion::Expired { attempt: a }) => {
-                    if a != attempt {
-                        continue;
-                    }
-                    break BatchOutcome::Deadline;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= batch_deadline {
-                        break BatchOutcome::Deadline;
-                    }
-                    match failover(None, &mut attempt, &mut retries, &mut tried) {
-                        Ok(new_rx) => rx = new_rx,
-                        Err(outcome) => break outcome,
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The worker died with the whole batch queued or
-                    // executing (mid-batch kill): fail over together.
-                    match failover(None, &mut attempt, &mut retries, &mut tried) {
-                        Ok(new_rx) => rx = new_rx,
-                        Err(outcome) => break outcome,
-                    }
-                }
-            }
-        };
-
-        match outcome {
-            BatchOutcome::Served {
-                worker,
-                outputs,
-                queue_wait_s,
-                service_s,
-                stats,
-                spans,
-            } => {
-                // A coalesced batch crosses the worker's link as ONE
-                // request message (all columns' inputs) and ONE response
-                // message: the per-message hop latency is paid once per
-                // direction and amortized over the members — the
-                // front-end batching win — while the serialization term
-                // still covers every member's bytes. Sleep the modeled
-                // pair once, attribute each member an equal share.
-                let input_bytes: usize = admitted.iter().map(|&i| items[i].input.len() * 4).sum();
-                let output_bytes: usize = outputs.iter().map(|o| o.len() * 4).sum();
-                let total_network =
-                    inner.charge_leg(worker, input_bytes) + inner.charge_leg(worker, output_bytes);
-                if total_network > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(total_network));
-                }
-                let network_share = total_network / k as f64;
-                let completed_at = Instant::now();
-                let k64 = k as u64;
-                admitted
-                    .iter()
-                    .enumerate()
-                    .zip(outputs)
-                    .map(|((p, &i), output)| {
-                        let id = request_ids[p];
-                        // A member whose own deadline lapsed while the
-                        // batch executed fails individually — coalescing
-                        // must never convert a breach into a completion.
-                        if completed_at >= items[i].deadline_at {
-                            let err = ServeError::DeadlineExceeded {
-                                model: model.to_owned(),
-                                retries,
-                            };
-                            metrics.failed.fetch_add(1, Ordering::Relaxed);
-                            if inner.flight_wants_failure(&err) {
-                                inner.push_flight(flight_failure(id, model, &err.to_string()));
-                            }
-                            return Err(err);
-                        }
-                        let latency = completed_at.saturating_duration_since(items[i].arrived_at);
-                        // Split the accelerator counters exactly: each
-                        // member gets its integer share, remainders to
-                        // the earliest members, so the per-model totals
-                        // equal the batch totals.
-                        let share = |total: u64| total / k64 + u64::from((p as u64) < total % k64);
-                        let member_stats = RunStats {
-                            cycles: share(stats.cycles),
-                            mvm_macs: share(stats.mvm_macs),
-                            dep_stall_cycles: share(stats.dep_stall_cycles),
-                            resource_stall_cycles: share(stats.resource_stall_cycles),
-                            ..stats.clone()
-                        };
-                        metrics.record_completed(latency.as_secs_f64());
-                        metrics.record_attribution(
-                            queue_wait_s,
-                            service_s / k as f64,
-                            network_share,
-                            &member_stats,
-                        );
-                        let attribution = Attribution {
-                            queue_wait: Duration::from_secs_f64(queue_wait_s),
-                            service: Duration::from_secs_f64(service_s / k as f64),
-                            network: Duration::from_secs_f64(network_share),
-                            npu_cycles: member_stats.cycles,
-                            npu_macs: member_stats.mvm_macs,
-                            dep_stall_cycles: member_stats.dep_stall_cycles,
-                            resource_stall_cycles: member_stats.resource_stall_cycles,
-                        };
-                        if let Some(fr) = cfg.flight_recorder {
-                            if latency > fr.latency_objective {
-                                inner.push_flight(FlightRecord {
-                                    trace: RequestTrace {
-                                        request_id: id,
-                                        trace_id,
-                                        model: model.to_owned(),
-                                        worker,
-                                        attribution,
-                                        stats: member_stats.clone(),
-                                        spans: spans.clone(),
-                                    },
-                                    outcome: FlightOutcome::LatencyBreach {
-                                        latency,
-                                        objective: fr.latency_objective,
-                                    },
-                                });
-                            }
-                        }
-                        if head_sampled(&cfg, id) && !spans.is_empty() {
-                            inner.push_trace(RequestTrace {
-                                request_id: id,
-                                trace_id,
-                                model: model.to_owned(),
-                                worker,
-                                attribution,
-                                stats: member_stats,
-                                spans: spans.clone(),
-                            });
-                        }
-                        Ok(Response {
-                            request_id: id,
-                            output,
-                            latency,
-                            worker,
-                            retries,
-                            attribution,
-                        })
-                    })
-                    .collect()
-            }
-            terminal => {
-                metrics.failed.fetch_add(k as u64, Ordering::Relaxed);
-                request_ids
-                    .iter()
-                    .map(|&id| {
-                        let err = match &terminal {
-                            BatchOutcome::Served { .. } => unreachable!("handled above"),
-                            BatchOutcome::Deadline => ServeError::DeadlineExceeded {
-                                model: model.to_owned(),
-                                retries,
-                            },
-                            BatchOutcome::Fault(message) => ServeError::WorkerFault {
-                                model: model.to_owned(),
-                                message: message.clone(),
-                                retries,
-                            },
-                            BatchOutcome::NoReplica => ServeError::NoReplica {
-                                model: model.to_owned(),
-                            },
-                        };
-                        if inner.flight_wants_failure(&err) {
-                            inner.push_flight(flight_failure(id, model, &err.to_string()));
-                        }
-                        Err(err)
-                    })
-                    .collect()
-            }
+                check_sla(model, bound, item.slack(now)).err()
+            })
+            .collect();
+        let admitted: Vec<&BatchItem> = items
+            .iter()
+            .zip(&rejected)
+            .filter_map(|(item, r)| r.is_none().then_some(item))
+            .collect();
+        if admitted.is_empty() {
+            return Ok((rejected, None));
         }
+        let k = admitted.len() as u64;
+        metrics.submitted.fetch_add(k, Ordering::Relaxed);
+        if batched {
+            metrics.batches.fetch_add(1, Ordering::Relaxed);
+            metrics.batched_requests.fetch_add(k, Ordering::Relaxed);
+        }
+        let cols: Vec<Column> = admitted
+            .iter()
+            .map(|item| Column {
+                id: inner.next_request_id(),
+                arrived_at: item.arrived_at,
+                deadline_at: item.deadline_at,
+                outcome: None,
+            })
+            .collect();
+        // The flight recorder decides retention at termination, but
+        // workers only emit spans when asked at dispatch — so an armed
+        // recorder traces every request and discards the uninteresting
+        // ones, while head sampling keeps feeding the trace log.
+        let collect_spans = cols.iter().any(|c| head_sampled(&inner.cfg, c.id))
+            || inner.cfg.flight_recorder.is_some();
+        let mut life = Lifecycle {
+            inner: Arc::clone(inner),
+            name: model.to_owned(),
+            metrics,
+            plan,
+            members,
+            deadline: cols.iter().map(|c| c.deadline_at).max().expect("k >= 1"),
+            trace_id: cols[0].id,
+            cols,
+            collect_spans,
+            stage: 0,
+            shards: Vec::new(),
+            carry: Arc::new(admitted.iter().map(|item| item.input.clone()).collect()),
+            retries: 0,
+            queue_wait_s: 0.0,
+            service_s: 0.0,
+            network_s: 0.0,
+            stats: RunStats::default(),
+            spans: Vec::new(),
+            last_worker: 0,
+        };
+        match life.dispatch_stage() {
+            Ok(()) => {}
+            Err(DispatchStopped::AllFull) => life.fail(Some(Why::Shed)),
+            Err(DispatchStopped::NoReplica) => life.fail(Some(Why::NoReplica)),
+        }
+        Ok((rejected, Some(life)))
     }
 
     /// A point-in-time metrics reading (same as [`Server::metrics`]).
@@ -1898,282 +1399,494 @@ impl BatchItem {
 /// an unwaited `Pending` records the request as failed (abandoned),
 /// keeping the metrics identity intact.
 pub struct Pending {
-    state: PendingState,
-}
-
-enum PendingState {
-    Single(SinglePending),
-    Group(GroupPending),
+    life: Lifecycle,
 }
 
 impl Pending {
     /// The server-assigned request id.
     pub fn request_id(&self) -> RequestId {
-        match &self.state {
-            PendingState::Single(p) => p.request_id,
-            PendingState::Group(p) => p.request_id,
-        }
+        self.life.cols[0].id
     }
 
-    /// Drives the request to termination: waits on the current attempt
-    /// (every shard of the current segment, for a group), failing over to
-    /// replicas on fault, death, or attempt timeout, until completion,
-    /// the deadline, or the retry budget ends it.
+    /// Drives the request to termination: waits on every shard of the
+    /// current stage, failing over to replicas on fault, death, or
+    /// attempt timeout, until completion, the deadline, or the retry
+    /// budget ends it.
     ///
     /// # Errors
     ///
     /// Returns the terminal [`ServeError`]; every error path is recorded
     /// in the metrics exactly once.
     pub fn wait(self) -> Result<Response, ServeError> {
-        match self.state {
-            PendingState::Single(p) => p.wait(),
-            PendingState::Group(p) => p.wait(),
-        }
+        self.life.run().pop().expect("one column")
     }
 }
 
-/// The whole-model request lifecycle: one attempt in flight at a time.
-struct SinglePending {
-    inner: Arc<ServerInner>,
-    request_id: RequestId,
-    model_idx: usize,
-    model: String,
-    /// The model's metrics row, resolved at admission (rows are
-    /// append-only, so the Arc stays valid across runtime registration).
-    metrics: Arc<ModelMetrics>,
-    input: Arc<Vec<f32>>,
-    submitted: Instant,
-    deadline: Instant,
-    attempt: u32,
-    tried: Vec<usize>,
-    retries: u32,
-    collect_spans: bool,
-    rx: Receiver<Completion>,
-    settled: bool,
+/// One admitted request riding a [`Lifecycle`].
+struct Column {
+    id: RequestId,
+    /// When the request entered the system (latency epoch).
+    arrived_at: Instant,
+    deadline_at: Instant,
+    /// The terminal outcome, set exactly once.
+    outcome: Option<Result<Response, ServeError>>,
 }
 
-impl SinglePending {
-    fn wait(mut self) -> Result<Response, ServeError> {
-        let cfg = self.inner.cfg;
-        loop {
+/// One shard of the in-flight stage.
+struct Shard {
+    /// The registry slot this shard runs.
+    slot: usize,
+    /// Attempt ordinal (monotone across this shard's failovers).
+    attempt: u32,
+    /// Workers that already tried this shard.
+    tried: Vec<usize>,
+    /// Failover retries this shard consumed.
+    retries: u32,
+    /// When the shard's first attempt was dispatched (member latency).
+    dispatched_at: Instant,
+    rx: Receiver<Completion>,
+    /// The gathered result, once the shard completes.
+    done: Option<Served>,
+}
+
+/// Why the open columns of a lifecycle end without a response.
+enum Why {
+    Shed,
+    Deadline,
+    Fault(String),
+    NoReplica,
+}
+
+/// The one request lifecycle: **k columns over a plan of stages, each
+/// stage fanned out over shards.** Batch-1 is k = 1, a coalesced batch
+/// is k > 1; a whole model is one stage with one shard (its own slot),
+/// a shard group is its segment plan.
+///
+/// Stages run in plan order. For each stage the lifecycle scatters the
+/// carried columns to one owner per shard as one multi-column job,
+/// gathers every shard in shard order (driving per-shard failover within
+/// the retry budget), charges the stage's network once, concatenates the
+/// row-shard outputs per column in shard order, and feeds the next
+/// stage. Every column terminates exactly once on the addressed row;
+/// shards of a group also account on their member rows, one count per
+/// dispatch, and attempts abandoned by a terminal error fail there.
+struct Lifecycle {
+    inner: Arc<ServerInner>,
+    /// The addressed model or group name.
+    name: String,
+    /// The addressed metrics row, resolved at admission.
+    metrics: Arc<ModelMetrics>,
+    /// Registry slots per stage, in shard order.
+    plan: Vec<Vec<usize>>,
+    /// Whether shards are group members with their own metrics rows
+    /// (otherwise the one shard is the addressed model itself).
+    members: bool,
+    cols: Vec<Column>,
+    /// The latest column deadline: the job expiry and the wait budget.
+    deadline: Instant,
+    trace_id: u64,
+    collect_spans: bool,
+    /// Stage currently in flight (index into `plan`).
+    stage: usize,
+    shards: Vec<Shard>,
+    /// The in-flight stage's input, one vector per column.
+    carry: Arc<Vec<Vec<f32>>>,
+    /// Total failover retries across all shards and stages.
+    retries: u32,
+    queue_wait_s: f64,
+    service_s: f64,
+    network_s: f64,
+    stats: RunStats,
+    spans: Vec<SpanRecord>,
+    last_worker: usize,
+}
+
+impl Lifecycle {
+    /// Drives every column to termination and returns the outcomes in
+    /// column order.
+    fn run(mut self) -> Vec<Result<Response, ServeError>> {
+        while self.cols.iter().any(|c| c.outcome.is_none()) {
+            if let Err(why) = self.gather() {
+                self.fail(Some(why));
+                continue;
+            }
+            self.finish_stage();
+            self.stage += 1;
+            if self.stage == self.plan.len() {
+                self.complete();
+            } else if self.dispatch_stage().is_err() {
+                // Post-admission: shedding is an admission-time outcome,
+                // so a mid-pipeline full pool is a failure.
+                self.fail(Some(Why::NoReplica));
+            }
+        }
+        std::mem::take(&mut self.cols)
+            .into_iter()
+            .map(|c| c.outcome.expect("every column settled"))
+            .collect()
+    }
+
+    /// The metrics row of shard slot `slot`, when it is a group member.
+    fn member_row(&self, slot: usize) -> Option<Arc<ModelMetrics>> {
+        self.members.then(|| self.inner.model_metric(slot))
+    }
+
+    /// Walks the router's plan and enqueues the carried columns for
+    /// `slot` on the first replica that both pins the slot and is
+    /// reachable over a live link, skipping `tried`.
+    fn dispatch(
+        &self,
+        slot: usize,
+        attempt: u32,
+        tried: &[usize],
+    ) -> Result<(usize, Receiver<Completion>), DispatchStopped> {
+        let inner = &self.inner;
+        let net = inner.network();
+        let plan = inner.router.plan_eligible(&inner.workers, tried, |w| {
+            inner.workers[w].pins(slot) && net.link_up(w)
+        });
+        if plan.is_empty() {
+            return Err(DispatchStopped::NoReplica);
+        }
+        let mut all_full = true;
+        for worker in plan {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let job = Job {
+                attempt,
+                model: slot,
+                payload: Arc::clone(&self.carry),
+                deadline: self.deadline,
+                reply: tx,
+                trace_id: self.trace_id,
+                enqueued_at: Instant::now(),
+                collect_spans: self.collect_spans,
+            };
+            match inner.workers[worker].try_dispatch(job) {
+                Ok(()) => return Ok((worker, rx)),
+                Err(DispatchRefused::QueueFull) => {}
+                Err(DispatchRefused::Dead) => all_full = false,
+            }
+        }
+        Err(if all_full {
+            DispatchStopped::AllFull
+        } else {
+            DispatchStopped::NoReplica
+        })
+    }
+
+    /// Dispatches every shard of the current stage. On error the
+    /// already-dispatched shards stay in `shards` for terminal
+    /// accounting.
+    fn dispatch_stage(&mut self) -> Result<(), DispatchStopped> {
+        for shard in 0..self.plan[self.stage].len() {
+            let slot = self.plan[self.stage][shard];
+            let row = self.member_row(slot);
+            if let Some(row) = &row {
+                row.submitted.fetch_add(1, Ordering::Relaxed);
+            }
+            match self.dispatch(slot, 0, &[]) {
+                Ok((worker, rx)) => self.shards.push(Shard {
+                    slot,
+                    attempt: 0,
+                    tried: vec![worker],
+                    retries: 0,
+                    dispatched_at: Instant::now(),
+                    rx,
+                    done: None,
+                }),
+                Err(stop) => {
+                    // Admitted on the member row but never dispatched.
+                    if let Some(row) = row {
+                        row.failed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Err(stop);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Waits for every shard of the in-flight stage, in shard order,
+    /// driving per-shard failover, until the stage gathers or the
+    /// lifecycle becomes terminal.
+    fn gather(&mut self) -> Result<(), Why> {
+        let mut i = 0;
+        while i < self.shards.len() {
             let now = Instant::now();
             if now >= self.deadline {
-                return Err(self.fail(ServeError::DeadlineExceeded {
-                    model: self.model.clone(),
-                    retries: self.retries,
-                }));
+                return Err(Why::Deadline);
             }
             let budget = self.deadline - now;
-            let slice = cfg.attempt_timeout.map_or(budget, |t| t.min(budget));
-
-            match self.rx.recv_timeout(slice) {
-                Ok(Completion::Done {
-                    attempt,
-                    worker,
-                    output,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                }) => {
-                    if attempt != self.attempt {
-                        continue; // stale attempt; keep waiting
+            let slice = self
+                .inner
+                .cfg
+                .attempt_timeout
+                .map_or(budget, |t| t.min(budget));
+            let shard = &self.shards[i];
+            match shard.rx.recv_timeout(slice) {
+                Ok(Completion::Done(served)) if served.attempt == shard.attempt => {
+                    if let Some(row) = self.member_row(shard.slot) {
+                        // Network legs are attributed on the addressed row.
+                        row.record_completed(shard.dispatched_at.elapsed().as_secs_f64());
+                        row.record_attribution(
+                            served.queue_wait_s,
+                            served.service_s,
+                            0.0,
+                            &served.stats,
+                        );
                     }
-                    // Charge the request and response legs over the
-                    // winning worker's link, sleeping the modeled time so
-                    // measured latency reflects the network.
-                    let network_s = {
-                        let s = self.inner.charge_leg(worker, self.input.len() * 4)
-                            + self.inner.charge_leg(worker, output.len() * 4);
-                        if s > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(s));
-                        }
-                        s
-                    };
-                    let latency = self.submitted.elapsed();
-                    self.settled = true;
-                    self.metrics.record_completed(latency.as_secs_f64());
-                    self.metrics
-                        .record_attribution(queue_wait_s, service_s, network_s, &stats);
-                    let attribution = Attribution {
-                        queue_wait: Duration::from_secs_f64(queue_wait_s),
-                        service: Duration::from_secs_f64(service_s),
-                        network: Duration::from_secs_f64(network_s),
-                        npu_cycles: stats.cycles,
-                        npu_macs: stats.mvm_macs,
-                        dep_stall_cycles: stats.dep_stall_cycles,
-                        resource_stall_cycles: stats.resource_stall_cycles,
-                    };
-                    // Tail sampling: now that the outcome is known, keep
-                    // the full span tree iff the latency objective was
-                    // breached.
-                    if let Some(fr) = self.inner.cfg.flight_recorder {
-                        if latency > fr.latency_objective {
-                            self.inner.push_flight(FlightRecord {
-                                trace: RequestTrace {
-                                    request_id: self.request_id,
-                                    trace_id: self.request_id,
-                                    model: self.model.clone(),
-                                    worker,
-                                    attribution,
-                                    stats: stats.clone(),
-                                    spans: spans.clone(),
-                                },
-                                outcome: FlightOutcome::LatencyBreach {
-                                    latency,
-                                    objective: fr.latency_objective,
-                                },
-                            });
-                        }
-                    }
-                    if head_sampled(&cfg, self.request_id) && !spans.is_empty() {
-                        self.inner.push_trace(RequestTrace {
-                            request_id: self.request_id,
-                            trace_id: self.request_id,
-                            model: self.model.clone(),
-                            worker,
-                            attribution,
-                            stats,
-                            spans,
-                        });
-                    }
-                    return Ok(Response {
-                        request_id: self.request_id,
-                        output,
-                        latency,
-                        worker,
-                        retries: self.retries,
-                        attribution,
-                    });
+                    self.shards[i].done = Some(served);
+                    i += 1;
                 }
                 Ok(Completion::Fault {
                     attempt,
                     worker,
                     message,
-                }) => {
-                    if attempt != self.attempt {
-                        continue;
-                    }
-                    if let Some(err) = self.failover(Some(format!("worker {worker}: {message}"))) {
-                        return Err(err);
-                    }
+                }) if attempt == shard.attempt => {
+                    self.failover(i, Some(format!("worker {worker}: {message}")))?;
                 }
-                Ok(Completion::Expired { attempt }) => {
-                    if attempt != self.attempt {
-                        continue;
-                    }
-                    // The worker saw the job after its deadline: terminal.
-                    return Err(self.fail(ServeError::DeadlineExceeded {
-                        model: self.model.clone(),
-                        retries: self.retries,
-                    }));
+                // The worker saw the job after its deadline: terminal.
+                Ok(Completion::Expired { attempt }) if attempt == shard.attempt => {
+                    return Err(Why::Deadline);
                 }
-                // Single requests never dispatch batch payloads; a
-                // batched completion on this channel is impossible.
-                Ok(Completion::BatchDone { .. }) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= self.deadline {
-                        return Err(self.fail(ServeError::DeadlineExceeded {
-                            model: self.model.clone(),
-                            retries: self.retries,
-                        }));
-                    }
-                    // Attempt timeout with budget left: fail over.
-                    if let Some(err) = self.failover(None) {
-                        return Err(err);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The worker died with our job (injected fault or
-                    // shutdown): fail over immediately.
-                    if let Some(err) = self.failover(None) {
-                        return Err(err);
-                    }
-                }
+                // A stale attempt; keep waiting.
+                Ok(_) => {}
+                // Out of budget: the deadline check above ends it.
+                Err(RecvTimeoutError::Timeout) if Instant::now() >= self.deadline => {}
+                // Attempt timeout with budget left, or the worker died
+                // with the job (injected fault or shutdown): fail over.
+                Err(_) => self.failover(i, None)?,
             }
         }
+        Ok(())
     }
 
-    /// Re-dispatches to an untried replica. Returns `Some(error)` if the
-    /// request is terminal instead.
-    fn failover(&mut self, fault: Option<String>) -> Option<ServeError> {
-        if self.retries >= self.inner.cfg.max_retries {
-            let err = match fault {
-                Some(message) => ServeError::WorkerFault {
-                    model: self.model.clone(),
-                    message,
-                    retries: self.retries,
-                },
-                None => ServeError::DeadlineExceeded {
-                    model: self.model.clone(),
-                    retries: self.retries,
-                },
-            };
-            return Some(self.fail(err));
+    /// Re-dispatches shard `i` to an untried owner, or says why the
+    /// lifecycle is terminal instead.
+    fn failover(&mut self, i: usize, fault: Option<String>) -> Result<(), Why> {
+        if self.shards[i].retries >= self.inner.cfg.max_retries {
+            return Err(fault.map_or(Why::Deadline, Why::Fault));
         }
+        // Every column the retried shard carries counts one retry.
+        let k = self.cols.len() as u64;
         self.retries += 1;
-        self.attempt += 1;
-        self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-        let spec = DispatchSpec {
-            attempt: self.attempt,
-            model: self.model_idx,
-            deadline: self.deadline,
-            trace_id: self.request_id,
-            collect_spans: self.collect_spans,
-        };
-        let dispatched = self.inner.dispatch(&spec, &self.input, &self.tried);
-        match dispatched {
-            Ok((worker, rx)) => {
-                self.tried.push(worker);
-                self.rx = rx;
-                None
+        self.metrics.retries.fetch_add(k, Ordering::Relaxed);
+        if let Some(row) = self.member_row(self.shards[i].slot) {
+            row.retries.fetch_add(k, Ordering::Relaxed);
+        }
+        let shard = &self.shards[i];
+        let (slot, attempt) = (shard.slot, shard.attempt + 1);
+        let (worker, rx) = self
+            .dispatch(slot, attempt, &shard.tried)
+            .map_err(|_| fault.map_or(Why::NoReplica, Why::Fault))?;
+        let shard = &mut self.shards[i];
+        shard.retries += 1;
+        shard.attempt = attempt;
+        shard.tried.push(worker);
+        shard.rx = rx;
+        Ok(())
+    }
+
+    /// Charges the stage's network legs, accumulates attribution and
+    /// spans, and concatenates each column's shard outputs (in shard
+    /// order) into the next stage's input.
+    ///
+    /// Per shard, one input message and one output message carry every
+    /// column, so the per-message hop is paid once per direction and
+    /// amortized over the columns. The shards run in parallel, so the
+    /// stage's queue wait, service, and network are each the slowest
+    /// shard's; the network is slept once and, like service, each
+    /// column is attributed a 1/k share.
+    fn finish_stage(&mut self) {
+        let inner = Arc::clone(&self.inner);
+        let k = self.cols.len();
+        let in_bytes: usize = self.carry.iter().map(|c| c.len() * 4).sum();
+        let (mut net_s, mut queue_s, mut service_s) = (0.0f64, 0.0f64, 0.0f64);
+        let mut gathered = vec![Vec::new(); k];
+        for (ordinal, shard) in std::mem::take(&mut self.shards).into_iter().enumerate() {
+            let done = shard.done.expect("stage gathered");
+            let out_bytes: usize = done.outputs.iter().map(|o| o.len() * 4).sum();
+            let leg_s =
+                inner.charge_leg(done.worker, in_bytes) + inner.charge_leg(done.worker, out_bytes);
+            net_s = net_s.max(leg_s);
+            queue_s = queue_s.max(done.queue_wait_s);
+            service_s = service_s.max(done.service_s);
+            self.stats.accumulate(&done.stats);
+            self.last_worker = done.worker;
+            if self.collect_spans {
+                // Re-stamp a member's NPU spans with its owning worker
+                // as the device, so a gathered trace reads as the
+                // spatially distributed execution it was.
+                for mut span in done.spans {
+                    if self.members {
+                        span.device = done.worker as u32;
+                    }
+                    self.spans.push(span);
+                }
+                if leg_s > 0.0 {
+                    let clock_hz = inner
+                        .registry
+                        .read()
+                        .get(shard.slot)
+                        .map_or(0.0, |a| a.config().clock_hz());
+                    self.spans.push(SpanRecord {
+                        trace_id: self.trace_id,
+                        device: done.worker as u32,
+                        kind: SpanKind::NetTransfer,
+                        chain: ordinal as u64 + 1,
+                        start_cycle: 0,
+                        end_cycle: (leg_s * clock_hz) as u64,
+                    });
+                }
             }
-            Err(DispatchStopped::AllFull) | Err(DispatchStopped::NoReplica) => {
-                let err = match fault {
-                    Some(message) => ServeError::WorkerFault {
-                        model: self.model.clone(),
-                        message,
-                        retries: self.retries,
-                    },
-                    None => ServeError::NoReplica {
-                        model: self.model.clone(),
-                    },
-                };
-                Some(self.fail(err))
+            for (column, output) in gathered.iter_mut().zip(done.outputs) {
+                column.extend(output);
+            }
+        }
+        if net_s > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(net_s));
+        }
+        self.network_s += net_s / k as f64;
+        self.queue_wait_s += queue_s;
+        self.service_s += service_s / k as f64;
+        self.carry = Arc::new(gathered);
+    }
+
+    /// Settles every column after the last stage: a column that finished
+    /// at or after its own deadline fails; the rest complete, each with
+    /// its latency from arrival and an exact integer share of the
+    /// accelerator counters (remainders to the earliest columns, so the
+    /// per-model totals equal the dispatched totals).
+    fn complete(&mut self) {
+        let cfg = self.inner.cfg;
+        let completed_at = Instant::now();
+        let k = self.cols.len() as u64;
+        let outputs =
+            Arc::try_unwrap(std::mem::take(&mut self.carry)).unwrap_or_else(|c| c.to_vec());
+        for (p, output) in outputs.into_iter().enumerate() {
+            let (id, arrived_at) = (self.cols[p].id, self.cols[p].arrived_at);
+            if completed_at >= self.cols[p].deadline_at {
+                self.settle_failed(p, Some(self.error(&Why::Deadline)));
+                continue;
+            }
+            let latency = completed_at.saturating_duration_since(arrived_at);
+            let share = |total: u64| total / k + u64::from((p as u64) < total % k);
+            let stats = RunStats {
+                cycles: share(self.stats.cycles),
+                mvm_macs: share(self.stats.mvm_macs),
+                dep_stall_cycles: share(self.stats.dep_stall_cycles),
+                resource_stall_cycles: share(self.stats.resource_stall_cycles),
+                ..self.stats.clone()
+            };
+            self.metrics.record_completed(latency.as_secs_f64());
+            self.metrics.record_attribution(
+                self.queue_wait_s,
+                self.service_s,
+                self.network_s,
+                &stats,
+            );
+            let attribution = Attribution {
+                queue_wait: Duration::from_secs_f64(self.queue_wait_s),
+                service: Duration::from_secs_f64(self.service_s),
+                network: Duration::from_secs_f64(self.network_s),
+                npu_cycles: stats.cycles,
+                npu_macs: stats.mvm_macs,
+                dep_stall_cycles: stats.dep_stall_cycles,
+                resource_stall_cycles: stats.resource_stall_cycles,
+            };
+            let trace = || RequestTrace {
+                request_id: id,
+                trace_id: self.trace_id,
+                model: self.name.clone(),
+                worker: self.last_worker,
+                attribution,
+                stats: stats.clone(),
+                spans: self.spans.clone(),
+            };
+            // Tail sampling: now that the outcome is known, keep the
+            // full span tree iff the latency objective was breached.
+            if let Some(fr) = cfg.flight_recorder {
+                if latency > fr.latency_objective {
+                    self.inner.push_flight(FlightRecord {
+                        trace: trace(),
+                        outcome: FlightOutcome::LatencyBreach {
+                            latency,
+                            objective: fr.latency_objective,
+                        },
+                    });
+                }
+            }
+            if head_sampled(&cfg, id) && !self.spans.is_empty() {
+                self.inner.push_trace(trace());
+            }
+            self.cols[p].outcome = Some(Ok(Response {
+                request_id: id,
+                output,
+                latency,
+                worker: self.last_worker,
+                retries: self.retries,
+                attribution,
+            }));
+        }
+    }
+
+    /// Terminal accounting for every open column and for the in-flight
+    /// shard attempts the lifecycle abandons (gathered shards already
+    /// recorded `completed`; the rest fail on their member rows).
+    /// `None` means the request was dropped unwaited.
+    fn fail(&mut self, why: Option<Why>) {
+        for shard in std::mem::take(&mut self.shards) {
+            if let (None, Some(row)) = (&shard.done, self.member_row(shard.slot)) {
+                row.failed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for p in 0..self.cols.len() {
+            if self.cols[p].outcome.is_none() {
+                self.settle_failed(p, why.as_ref().map(|w| self.error(w)));
             }
         }
     }
 
-    /// Marks the request failed in the metrics (exactly once) and hands
-    /// the error back.
-    fn fail(&mut self, err: ServeError) -> ServeError {
-        if !self.settled {
-            self.settled = true;
+    /// The terminal error a column reports for `why`.
+    fn error(&self, why: &Why) -> ServeError {
+        let (model, retries) = (self.name.clone(), self.retries);
+        match why {
+            Why::Shed => ServeError::Shed { model },
+            Why::Deadline => ServeError::DeadlineExceeded { model, retries },
+            Why::Fault(message) => ServeError::WorkerFault {
+                model,
+                message: message.clone(),
+                retries,
+            },
+            Why::NoReplica => ServeError::NoReplica { model },
+        }
+    }
+
+    /// Settles column `p` as shed or failed (`None`: abandoned). Shed
+    /// requests never got capacity — an admission outcome, not a serving
+    /// failure worth a flight record.
+    fn settle_failed(&mut self, p: usize, err: Option<ServeError>) {
+        if err.as_ref().is_some_and(ServeError::is_shed) {
+            self.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        } else {
             self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            if self.inner.flight_wants_failure(&err) {
-                self.inner.push_flight(flight_failure(
-                    self.request_id,
-                    &self.model,
-                    &err.to_string(),
-                ));
+            if self.inner.cfg.flight_recorder.is_some() {
+                let error = err
+                    .as_ref()
+                    .map_or("abandoned".to_owned(), ToString::to_string);
+                self.inner
+                    .push_flight(flight_failure(self.cols[p].id, &self.name, &error));
             }
         }
-        err
+        self.cols[p].outcome = err.map(Err);
     }
 }
 
-impl Drop for SinglePending {
+impl Drop for Lifecycle {
     fn drop(&mut self) {
-        if !self.settled {
-            // Abandoned without waiting: account it as failed so the
-            // metrics identity holds.
-            self.settled = true;
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            if self.inner.cfg.flight_recorder.is_some() {
-                self.inner
-                    .push_flight(flight_failure(self.request_id, &self.model, "abandoned"));
-            }
-        }
+        // Abandoned without waiting: account the open columns and their
+        // in-flight shards as failed so every row's identity holds.
+        self.fail(None);
     }
 }
 
@@ -2194,486 +1907,5 @@ fn flight_failure(request_id: RequestId, model: &str, error: &str) -> FlightReco
         outcome: FlightOutcome::Failed {
             error: error.to_owned(),
         },
-    }
-}
-
-/// One shard of the in-flight segment of a group request.
-struct ShardInFlight {
-    /// The member's registry slot.
-    member: usize,
-    /// Attempt ordinal (monotone across this shard's failovers).
-    attempt: u32,
-    /// Workers that already tried this shard.
-    tried: Vec<usize>,
-    /// Failover retries this shard consumed.
-    retries: u32,
-    /// Worker serving the current attempt.
-    worker: usize,
-    /// When the shard's first attempt was dispatched (member latency).
-    dispatched_at: Instant,
-    rx: Receiver<Completion>,
-    /// The gathered result, once the shard completes.
-    done: Option<ShardDone>,
-}
-
-/// A completed shard attempt, held until the whole segment gathers.
-struct ShardDone {
-    output: Vec<f32>,
-    queue_wait_s: f64,
-    service_s: f64,
-    stats: RunStats,
-    spans: Vec<SpanRecord>,
-    worker: usize,
-}
-
-/// The shard-group request lifecycle: the scatter/gather coordinator.
-///
-/// Segments run in pipeline order. For each segment the coordinator
-/// scatters the segment input to one owner per shard, gathers every
-/// shard (driving per-shard failover with the same retry budget as a
-/// whole-model request), charges the modeled network legs, concatenates
-/// the row-shard outputs in shard order, and feeds the next segment.
-/// Exactly one terminal is recorded on the group's metrics row;
-/// in-flight member attempts abandoned by a terminal error are recorded
-/// as failed on their own rows, so every row keeps the accounting
-/// identity.
-struct GroupPending {
-    inner: Arc<ServerInner>,
-    request_id: RequestId,
-    group_idx: usize,
-    /// The group's metrics row, resolved at admission.
-    metrics: Arc<ModelMetrics>,
-    name: String,
-    submitted: Instant,
-    deadline: Instant,
-    collect_spans: bool,
-    /// Segment currently in flight (index into the group's plan).
-    seg_idx: usize,
-    inflight: Vec<ShardInFlight>,
-    /// The in-flight segment's input (the previous segment's
-    /// concatenated output).
-    carry: Arc<Vec<f32>>,
-    /// Total failover retries across all shards and segments.
-    retries: u32,
-    network_s: f64,
-    queue_wait_s: f64,
-    service_s: f64,
-    stats: RunStats,
-    spans: Vec<SpanRecord>,
-    last_worker: usize,
-    settled: bool,
-}
-
-impl GroupPending {
-    /// Dispatches every shard of the current segment. On error the
-    /// already-dispatched shards stay in `inflight` for the caller's
-    /// terminal accounting.
-    fn scatter(&mut self) -> Result<(), DispatchStopped> {
-        let inner = Arc::clone(&self.inner);
-        let members = {
-            let registry = inner.registry.read();
-            registry
-                .group(self.group_idx)
-                .expect("index valid")
-                .segments[self.seg_idx]
-                .members()
-        };
-        for member in members {
-            inner
-                .model_metric(member)
-                .submitted
-                .fetch_add(1, Ordering::Relaxed);
-            let spec = DispatchSpec {
-                attempt: 0,
-                model: member,
-                deadline: self.deadline,
-                trace_id: self.request_id,
-                collect_spans: self.collect_spans,
-            };
-            match inner.dispatch(&spec, &self.carry, &[]) {
-                Ok((worker, rx)) => self.inflight.push(ShardInFlight {
-                    member,
-                    attempt: 0,
-                    tried: vec![worker],
-                    retries: 0,
-                    worker,
-                    dispatched_at: Instant::now(),
-                    rx,
-                    done: None,
-                }),
-                Err(stop) => {
-                    // The member was admitted but never dispatched:
-                    // terminal for it.
-                    inner
-                        .model_metric(member)
-                        .failed
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(stop);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drives the group request to termination.
-    fn wait(mut self) -> Result<Response, ServeError> {
-        let cfg = self.inner.cfg;
-        let seg_count = {
-            let registry = self.inner.registry.read();
-            registry
-                .group(self.group_idx)
-                .expect("index valid")
-                .segments
-                .len()
-        };
-        loop {
-            // Gather every shard of the in-flight segment.
-            for i in 0..self.inflight.len() {
-                self.gather_shard(i, &cfg)?;
-            }
-            self.finish_segment();
-            self.seg_idx += 1;
-            if self.seg_idx == seg_count {
-                return Ok(self.complete());
-            }
-            match self.scatter() {
-                Ok(()) => {}
-                Err(DispatchStopped::AllFull) | Err(DispatchStopped::NoReplica) => {
-                    // Post-admission: shedding is an admission-time
-                    // outcome, so a mid-pipeline full pool is a failure.
-                    let name = self.name.clone();
-                    return Err(self.fail(ServeError::NoReplica { model: name }));
-                }
-            }
-        }
-    }
-
-    /// Waits for shard `i` of the current segment, driving its failover,
-    /// until it completes or the request becomes terminal.
-    fn gather_shard(&mut self, i: usize, cfg: &ServerConfig) -> Result<(), ServeError> {
-        loop {
-            let now = Instant::now();
-            if now >= self.deadline {
-                let err = ServeError::DeadlineExceeded {
-                    model: self.name.clone(),
-                    retries: self.retries,
-                };
-                return Err(self.fail(err));
-            }
-            let budget = self.deadline - now;
-            let slice = cfg.attempt_timeout.map_or(budget, |t| t.min(budget));
-
-            match self.inflight[i].rx.recv_timeout(slice) {
-                Ok(Completion::Done {
-                    attempt,
-                    worker,
-                    output,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                }) => {
-                    if attempt != self.inflight[i].attempt {
-                        continue; // stale attempt; keep waiting
-                    }
-                    let shard = &mut self.inflight[i];
-                    let member_latency = shard.dispatched_at.elapsed().as_secs_f64();
-                    shard.done = Some(ShardDone {
-                        output,
-                        queue_wait_s,
-                        service_s,
-                        stats,
-                        spans,
-                        worker,
-                    });
-                    let member = self.inner.model_metric(shard.member);
-                    member.record_completed(member_latency);
-                    // Network legs are attributed at the group level.
-                    member.record_attribution(
-                        queue_wait_s,
-                        service_s,
-                        0.0,
-                        &shard.done.as_ref().expect("just set").stats,
-                    );
-                    return Ok(());
-                }
-                Ok(Completion::Fault {
-                    attempt,
-                    worker,
-                    message,
-                }) => {
-                    if attempt != self.inflight[i].attempt {
-                        continue;
-                    }
-                    self.shard_failover(i, Some(format!("worker {worker}: {message}")))?;
-                }
-                Ok(Completion::Expired { attempt }) => {
-                    if attempt != self.inflight[i].attempt {
-                        continue;
-                    }
-                    let err = ServeError::DeadlineExceeded {
-                        model: self.name.clone(),
-                        retries: self.retries,
-                    };
-                    return Err(self.fail(err));
-                }
-                // Shard attempts always carry single payloads; a batched
-                // completion on this channel is impossible.
-                Ok(Completion::BatchDone { .. }) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= self.deadline {
-                        let err = ServeError::DeadlineExceeded {
-                            model: self.name.clone(),
-                            retries: self.retries,
-                        };
-                        return Err(self.fail(err));
-                    }
-                    self.shard_failover(i, None)?;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The owning worker died with the shard (injected
-                    // fault or shutdown): fail over to another owner.
-                    self.shard_failover(i, None)?;
-                }
-            }
-        }
-    }
-
-    /// Re-dispatches shard `i` to an untried owner. On a terminal
-    /// outcome, records it and returns the error.
-    fn shard_failover(&mut self, i: usize, fault: Option<String>) -> Result<(), ServeError> {
-        let inner = Arc::clone(&self.inner);
-        if self.inflight[i].retries >= inner.cfg.max_retries {
-            let err = match fault {
-                Some(message) => ServeError::WorkerFault {
-                    model: self.name.clone(),
-                    message,
-                    retries: self.retries,
-                },
-                None => ServeError::DeadlineExceeded {
-                    model: self.name.clone(),
-                    retries: self.retries,
-                },
-            };
-            return Err(self.fail(err));
-        }
-        self.retries += 1;
-        {
-            let shard = &mut self.inflight[i];
-            shard.retries += 1;
-            shard.attempt += 1;
-            inner
-                .model_metric(shard.member)
-                .retries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-        let spec = DispatchSpec {
-            attempt: self.inflight[i].attempt,
-            model: self.inflight[i].member,
-            deadline: self.deadline,
-            trace_id: self.request_id,
-            collect_spans: self.collect_spans,
-        };
-        match inner.dispatch(&spec, &self.carry, &self.inflight[i].tried) {
-            Ok((worker, rx)) => {
-                let shard = &mut self.inflight[i];
-                shard.tried.push(worker);
-                shard.worker = worker;
-                shard.rx = rx;
-                Ok(())
-            }
-            Err(DispatchStopped::AllFull) | Err(DispatchStopped::NoReplica) => {
-                let err = match fault {
-                    Some(message) => ServeError::WorkerFault {
-                        model: self.name.clone(),
-                        message,
-                        retries: self.retries,
-                    },
-                    None => ServeError::NoReplica {
-                        model: self.name.clone(),
-                    },
-                };
-                Err(self.fail(err))
-            }
-        }
-    }
-
-    /// Charges the segment's scatter/gather network legs, accumulates
-    /// attribution and spans, and concatenates the shard outputs (in
-    /// shard order) into the next segment's input.
-    fn finish_segment(&mut self) {
-        let inner = Arc::clone(&self.inner);
-        let in_bytes = self.carry.len() * 4;
-        let mut seg_net_s = 0.0f64;
-        let mut seg_queue_s = 0.0f64;
-        let mut seg_service_s = 0.0f64;
-        let mut output = Vec::new();
-        for (ordinal, shard) in self.inflight.drain(..).enumerate() {
-            let done = shard.done.expect("segment gathered");
-            // One input leg and one output leg per shard; the legs run
-            // in parallel, so the segment pays the slowest pair.
-            let leg_s = inner.charge_leg(done.worker, in_bytes)
-                + inner.charge_leg(done.worker, done.output.len() * 4);
-            seg_net_s = seg_net_s.max(leg_s);
-            seg_queue_s = seg_queue_s.max(done.queue_wait_s);
-            seg_service_s = seg_service_s.max(done.service_s);
-            self.stats.accumulate(&done.stats);
-            self.last_worker = done.worker;
-            if self.collect_spans {
-                // Re-stamp NPU spans with the owning worker as the
-                // device, so a gathered trace reads as the spatially
-                // distributed execution it was.
-                for mut span in done.spans {
-                    span.device = done.worker as u32;
-                    self.spans.push(span);
-                }
-                if leg_s > 0.0 {
-                    let clock_hz = inner
-                        .registry
-                        .read()
-                        .get(shard.member)
-                        .map(|a| a.config().clock_hz())
-                        .unwrap_or(0.0);
-                    self.spans.push(SpanRecord {
-                        trace_id: self.request_id,
-                        device: done.worker as u32,
-                        kind: SpanKind::NetTransfer,
-                        chain: ordinal as u64 + 1,
-                        start_cycle: 0,
-                        end_cycle: (leg_s * clock_hz) as u64,
-                    });
-                }
-            }
-            output.extend_from_slice(&done.output);
-        }
-        if seg_net_s > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(seg_net_s));
-            self.network_s += seg_net_s;
-        }
-        self.queue_wait_s += seg_queue_s;
-        self.service_s += seg_service_s;
-        self.carry = Arc::new(output);
-    }
-
-    /// Records the completed terminal on the group row and builds the
-    /// response.
-    fn complete(&mut self) -> Response {
-        let latency = self.submitted.elapsed();
-        self.settled = true;
-        self.metrics.record_completed(latency.as_secs_f64());
-        self.metrics.record_attribution(
-            self.queue_wait_s,
-            self.service_s,
-            self.network_s,
-            &self.stats,
-        );
-        let attribution = Attribution {
-            queue_wait: Duration::from_secs_f64(self.queue_wait_s),
-            service: Duration::from_secs_f64(self.service_s),
-            network: Duration::from_secs_f64(self.network_s),
-            npu_cycles: self.stats.cycles,
-            npu_macs: self.stats.mvm_macs,
-            dep_stall_cycles: self.stats.dep_stall_cycles,
-            resource_stall_cycles: self.stats.resource_stall_cycles,
-        };
-        if let Some(fr) = self.inner.cfg.flight_recorder {
-            if latency > fr.latency_objective {
-                self.inner.push_flight(FlightRecord {
-                    trace: RequestTrace {
-                        request_id: self.request_id,
-                        trace_id: self.request_id,
-                        model: self.name.clone(),
-                        worker: self.last_worker,
-                        attribution,
-                        stats: self.stats.clone(),
-                        spans: self.spans.clone(),
-                    },
-                    outcome: FlightOutcome::LatencyBreach {
-                        latency,
-                        objective: fr.latency_objective,
-                    },
-                });
-            }
-        }
-        if head_sampled(&self.inner.cfg, self.request_id) && !self.spans.is_empty() {
-            self.inner.push_trace(RequestTrace {
-                request_id: self.request_id,
-                trace_id: self.request_id,
-                model: self.name.clone(),
-                worker: self.last_worker,
-                attribution,
-                stats: self.stats.clone(),
-                spans: std::mem::take(&mut self.spans),
-            });
-        }
-        Response {
-            request_id: self.request_id,
-            output: self.carry.to_vec(),
-            latency,
-            worker: self.last_worker,
-            retries: self.retries,
-            attribution,
-        }
-    }
-
-    /// Marks the group request failed (exactly once), failing any
-    /// abandoned in-flight member attempts, and hands the error back.
-    fn fail(&mut self, err: ServeError) -> ServeError {
-        if !self.settled {
-            self.settled = true;
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            self.abandon_inflight();
-            if self.inner.flight_wants_failure(&err) {
-                self.inner.push_flight(flight_failure(
-                    self.request_id,
-                    &self.name,
-                    &err.to_string(),
-                ));
-            }
-        }
-        err
-    }
-
-    /// Marks the group request shed (exactly once); abandoned in-flight
-    /// member attempts count as failed on their rows.
-    fn shed(&mut self) -> ServeError {
-        if !self.settled {
-            self.settled = true;
-            self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            self.abandon_inflight();
-        }
-        ServeError::Shed {
-            model: self.name.clone(),
-        }
-    }
-
-    /// Terminal accounting for member attempts the group abandons:
-    /// gathered shards already recorded `completed`; the rest fail.
-    fn abandon_inflight(&mut self) {
-        for shard in self.inflight.drain(..) {
-            if shard.done.is_none() {
-                self.inner
-                    .model_metric(shard.member)
-                    .failed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl Drop for GroupPending {
-    fn drop(&mut self) {
-        if !self.settled {
-            // Abandoned without waiting: account the group and its
-            // in-flight members as failed so every row's identity holds.
-            self.settled = true;
-            self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            self.abandon_inflight();
-            if self.inner.cfg.flight_recorder.is_some() {
-                self.inner
-                    .push_flight(flight_failure(self.request_id, &self.name, "abandoned"));
-            }
-        }
     }
 }

@@ -44,7 +44,9 @@ use parking_lot::Mutex;
 use crate::batch::{BatchConfig, Batcher};
 use crate::request::{Attribution, Response, ServeError};
 use crate::server::{Client, Server};
-use crate::wire::{read_frame, try_extract_frame, write_frame, WireRequest, WireResponse};
+use crate::wire::{
+    read_frame, try_extract_frame, write_frame, WireRequest, WireResponse, MAX_NAME,
+};
 
 /// Tuning for one [`TcpFrontend`].
 #[derive(Clone, Copy, Debug)]
@@ -559,14 +561,21 @@ impl TcpClient {
     /// # Errors
     ///
     /// [`ServeError::Remote`] carries server-side failures (including
-    /// shed/deadline errors rendered as text); [`ServeError::Disconnected`]
-    /// covers transport loss.
+    /// shed/deadline errors rendered as text) and refuses, without
+    /// sending, a model name too long for the wire (over 65,535 bytes);
+    /// [`ServeError::Disconnected`] covers transport loss.
     pub fn call(
         &mut self,
         model: &str,
         input: &[f32],
         deadline: Duration,
     ) -> Result<Response, ServeError> {
+        if model.len() > MAX_NAME {
+            return Err(ServeError::Remote(format!(
+                "model name of {} bytes exceeds the wire's {MAX_NAME}-byte limit",
+                model.len()
+            )));
+        }
         let req = WireRequest::Infer {
             model: model.to_owned(),
             deadline_us: deadline.as_micros() as u64,

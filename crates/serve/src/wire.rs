@@ -13,7 +13,8 @@
 //!             | u64 npu_macs | u64 dep_stall_cycles
 //!             | u64 resource_stall_cycles | u64 network_us
 //!             | u32 n | f32[n] output
-//! error    := u8 tag=0xEE | u16 msg_len | msg bytes (utf-8)
+//! error    := u8 tag=0xEE | u16 msg_len | msg bytes (utf-8, cut at a
+//!             character boundary to fit the u16 length)
 //! sla error := u8 tag=0xEF | u16 model_len | model bytes (utf-8)
 //!             | u64 bound_us | u64 budget_us
 //! metrics request  := u8 tag=0x02
@@ -30,6 +31,10 @@ use std::io::{Read, Write};
 /// Hard cap on one frame's payload (16 MiB) — a malformed length prefix
 /// must not allocate unboundedly.
 pub const MAX_FRAME: usize = 16 << 20;
+
+/// Longest model name an infer request can carry: its length travels
+/// as a u16.
+pub const MAX_NAME: usize = u16::MAX as usize;
 
 /// Frame tags.
 pub const TAG_INFER: u8 = 0x01;
@@ -217,6 +222,17 @@ fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Writes `s` behind a u16 length, cut to at most 65,535 bytes at a
+/// character boundary so the cut never splits a UTF-8 character.
+fn put_str16(buf: &mut Vec<u8>, s: &str) {
+    let mut end = s.len().min(MAX_NAME);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    put_u16(buf, end as u16);
+    buf.extend_from_slice(&s.as_bytes()[..end]);
+}
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -233,6 +249,12 @@ fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
 
 impl WireRequest {
     /// Encodes the payload (no length prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an infer request whose model name exceeds 65,535
+    /// bytes: its u16 length would wrap, and a truncated name would
+    /// address a different model.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             WireRequest::Infer {
@@ -240,6 +262,11 @@ impl WireRequest {
                 deadline_us,
                 input,
             } => {
+                assert!(
+                    model.len() <= MAX_NAME,
+                    "model name of {} bytes exceeds the wire's {MAX_NAME}-byte limit",
+                    model.len()
+                );
                 let mut buf = Vec::with_capacity(1 + 2 + model.len() + 8 + 4 + input.len() * 4);
                 buf.push(TAG_INFER);
                 put_u16(&mut buf, model.len() as u16);
@@ -340,8 +367,7 @@ impl WireResponse {
             WireResponse::Error(msg) => {
                 let mut buf = Vec::with_capacity(1 + 2 + msg.len());
                 buf.push(TAG_ERROR);
-                put_u16(&mut buf, msg.len().min(u16::MAX as usize) as u16);
-                buf.extend_from_slice(&msg.as_bytes()[..msg.len().min(u16::MAX as usize)]);
+                put_str16(&mut buf, msg);
                 buf
             }
             WireResponse::SlaUnmeetable {
@@ -351,8 +377,7 @@ impl WireResponse {
             } => {
                 let mut buf = Vec::with_capacity(1 + 2 + model.len() + 8 + 8);
                 buf.push(TAG_SLA_ERROR);
-                put_u16(&mut buf, model.len().min(u16::MAX as usize) as u16);
-                buf.extend_from_slice(&model.as_bytes()[..model.len().min(u16::MAX as usize)]);
+                put_str16(&mut buf, model);
                 put_u64(&mut buf, *bound_us);
                 put_u64(&mut buf, *budget_us);
                 buf
@@ -577,6 +602,51 @@ mod tests {
         let mut ok = WireRequest::Metrics.encode();
         ok.push(0);
         assert!(WireRequest::decode(&ok).is_err());
+    }
+
+    #[test]
+    fn long_strings_are_cut_at_a_character_boundary() {
+        // An unknown-model error echoing a long multibyte name: a 3-byte
+        // character straddles the 65,535-byte cut, which must back off
+        // to the boundary before it rather than split it.
+        let prefix = "unknown model `";
+        let name = format!(
+            "{}{}",
+            "a".repeat(MAX_NAME - 1 - prefix.len()),
+            "€".repeat(4)
+        );
+        let text = crate::ServeError::UnknownModel(name.clone()).to_string();
+        assert!(text.starts_with(prefix) && !text.is_char_boundary(MAX_NAME));
+        let WireResponse::Error(msg) =
+            WireResponse::decode(&WireResponse::Error(text.clone()).encode()).unwrap()
+        else {
+            panic!("an error frame decodes as an error");
+        };
+        assert_eq!(msg, text[..MAX_NAME - 1]);
+        // The typed SLA frame echoes the model name the same way.
+        let sla = WireResponse::SlaUnmeetable {
+            model: format!("{}{}", "a".repeat(MAX_NAME - 1), "€".repeat(4)),
+            bound_us: 9,
+            budget_us: 1,
+        };
+        let WireResponse::SlaUnmeetable { model, .. } =
+            WireResponse::decode(&sla.encode()).unwrap()
+        else {
+            panic!("an sla frame decodes as an sla frame");
+        };
+        assert_eq!(model, "a".repeat(MAX_NAME - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the wire's 65535-byte limit")]
+    fn overlong_model_names_are_refused_not_wrapped() {
+        // 65,536 bytes would encode as length 0 if the u16 wrapped.
+        let _ = WireRequest::Infer {
+            model: "m".repeat(MAX_NAME + 1),
+            deadline_us: 1,
+            input: vec![1.0],
+        }
+        .encode();
     }
 
     #[test]

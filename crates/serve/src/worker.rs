@@ -3,7 +3,9 @@
 //! A worker is one disaggregated instance of the published hardware
 //! microservices (§II-A): at spawn it pins registry artifacts onto its
 //! own `bw-core` NPUs (fast kernels) and then drains a *bounded* request
-//! queue, one batch-1 inference at a time — the BW service discipline.
+//! queue, one job at a time — the BW service discipline. A job carries
+//! k columns: one request (batch-1), or a coalesced micro-batch run as
+//! one multi-column dispatch.
 //! Ordinary models pin on every worker; shard members of a scatter/gather
 //! group pin only on their owning workers (distinct per shard), so the
 //! pin table is sparse — a job for an unpinned slot faults and fails over.
@@ -40,43 +42,8 @@ use parking_lot::{Mutex, RwLock};
 /// What a worker reports back for one attempt.
 #[derive(Clone, Debug)]
 pub(crate) enum Completion {
-    /// The attempt produced an output.
-    Done {
-        /// Attempt number (monotone per request).
-        attempt: u32,
-        /// Worker that served it.
-        worker: usize,
-        /// The model output.
-        output: Vec<f32>,
-        /// Time the job waited in the queue before this worker popped it.
-        queue_wait_s: f64,
-        /// Wall time the inference spent executing.
-        service_s: f64,
-        /// Accelerator statistics of the inference.
-        stats: RunStats,
-        /// NPU spans, when the job asked for span collection (empty
-        /// otherwise).
-        spans: Vec<SpanRecord>,
-    },
-    /// A coalesced batch attempt produced one output per column.
-    BatchDone {
-        /// Attempt number (monotone per batch).
-        attempt: u32,
-        /// Worker that served it.
-        worker: usize,
-        /// Per-column model outputs, in input order.
-        outputs: Vec<Vec<f32>>,
-        /// Time the batch waited in the queue before this worker popped
-        /// it.
-        queue_wait_s: f64,
-        /// Wall time the whole multi-column inference spent executing.
-        service_s: f64,
-        /// Accelerator statistics accumulated over every column.
-        stats: RunStats,
-        /// NPU spans, when the job asked for span collection (empty
-        /// otherwise).
-        spans: Vec<SpanRecord>,
-    },
+    /// The attempt produced one output per column.
+    Done(Served),
     /// The attempt failed in the simulator.
     Fault {
         /// Attempt number.
@@ -93,16 +60,24 @@ pub(crate) enum Completion {
     },
 }
 
-/// What one queued attempt carries: a single request's input, or a
-/// coalesced micro-batch of same-model inputs that the worker dispatches
-/// as one multi-column run.
-#[derive(Clone)]
-pub(crate) enum Payload {
-    /// One request (batch-1, the BW default).
-    Single(Arc<Vec<f32>>),
-    /// A coalesced batch, one column per member request, in admission
-    /// order.
-    Batch(Arc<Vec<Vec<f32>>>),
+/// A served attempt: every column's output plus what the run cost.
+#[derive(Clone, Debug)]
+pub(crate) struct Served {
+    /// Attempt number (monotone per shard of a request).
+    pub attempt: u32,
+    /// Worker that served it.
+    pub worker: usize,
+    /// Per-column model outputs, in input order.
+    pub outputs: Vec<Vec<f32>>,
+    /// Time the job waited in the queue before this worker popped it.
+    pub queue_wait_s: f64,
+    /// Wall time the whole multi-column inference spent executing.
+    pub service_s: f64,
+    /// Accelerator statistics accumulated over every column.
+    pub stats: RunStats,
+    /// NPU spans, when the job asked for span collection (empty
+    /// otherwise).
+    pub spans: Vec<SpanRecord>,
 }
 
 /// One queued attempt.
@@ -110,7 +85,9 @@ pub(crate) struct Job {
     pub attempt: u32,
     /// Dense registry index of the model.
     pub model: usize,
-    pub payload: Payload,
+    /// The columns to run, one input vector per request, in admission
+    /// order; batch-1 is one column.
+    pub payload: Arc<Vec<Vec<f32>>>,
     pub deadline: Instant,
     pub reply: Sender<Completion>,
     /// Trace id stamped on emitted spans (the request id).
@@ -387,9 +364,24 @@ pub(crate) fn spawn_worker(
                         message: format!("model slot {} not pinned on worker {id}", job.model),
                     }
                 } else {
-                    let queue_wait_s = (popped - job.enqueued_at).as_secs_f64();
                     let model = models[job.model].as_mut().expect("pinned slot");
-                    serve_payload(model, &job, id, queue_wait_s, popped)
+                    let trace = job.collect_spans.then_some(job.trace_id);
+                    match model.infer_batch(&job.payload, trace) {
+                        Ok((outputs, stats, spans)) => Completion::Done(Served {
+                            attempt: job.attempt,
+                            worker: id,
+                            outputs,
+                            queue_wait_s: (popped - job.enqueued_at).as_secs_f64(),
+                            service_s: popped.elapsed().as_secs_f64(),
+                            stats,
+                            spans,
+                        }),
+                        Err(e) => Completion::Fault {
+                            attempt: job.attempt,
+                            worker: id,
+                            message: e.to_string(),
+                        },
+                    }
                 };
                 t_outstanding.fetch_sub(1, Ordering::AcqRel);
                 t_processed.fetch_add(1, Ordering::Relaxed);
@@ -413,72 +405,6 @@ pub(crate) fn spawn_worker(
     }
 }
 
-/// Runs one popped job's payload on its pinned model: a single-column
-/// inference for [`Payload::Single`], one multi-column dispatch for
-/// [`Payload::Batch`].
-fn serve_payload(
-    model: &mut PinnedModel,
-    job: &Job,
-    worker: usize,
-    queue_wait_s: f64,
-    popped: Instant,
-) -> Completion {
-    match &job.payload {
-        Payload::Single(input) => {
-            let result = if job.collect_spans {
-                model.infer_traced(input, job.trace_id)
-            } else {
-                model
-                    .infer_with_stats(input)
-                    .map(|(output, stats)| (output, stats, Vec::new()))
-            };
-            let service_s = popped.elapsed().as_secs_f64();
-            match result {
-                Ok((output, stats, spans)) => Completion::Done {
-                    attempt: job.attempt,
-                    worker,
-                    output,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                },
-                Err(e) => Completion::Fault {
-                    attempt: job.attempt,
-                    worker,
-                    message: e.to_string(),
-                },
-            }
-        }
-        Payload::Batch(inputs) => {
-            let result = if job.collect_spans {
-                model.infer_batch_traced(inputs, job.trace_id)
-            } else {
-                model
-                    .infer_batch(inputs)
-                    .map(|(outputs, stats)| (outputs, stats, Vec::new()))
-            };
-            let service_s = popped.elapsed().as_secs_f64();
-            match result {
-                Ok((outputs, stats, spans)) => Completion::BatchDone {
-                    attempt: job.attempt,
-                    worker,
-                    outputs,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                },
-                Err(e) => Completion::Fault {
-                    attempt: job.attempt,
-                    worker,
-                    message: e.to_string(),
-                },
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,7 +420,7 @@ mod tests {
         Job {
             attempt,
             model: 0,
-            payload: Payload::Single(Arc::new(demo_input(16, 0))),
+            payload: Arc::new(vec![demo_input(16, 0)]),
             deadline: Instant::now() + Duration::from_secs(5),
             reply,
             trace_id: 7,
@@ -509,17 +435,18 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         w.try_dispatch(job(0, tx)).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Completion::Done {
+            Completion::Done(Served {
                 attempt,
                 worker,
-                output,
+                outputs,
                 queue_wait_s,
                 service_s,
                 stats,
                 spans,
-            } => {
+            }) => {
                 assert_eq!((attempt, worker), (0, 0));
-                assert_eq!(output.len(), 8);
+                assert_eq!(outputs.len(), 1);
+                assert_eq!(outputs[0].len(), 8);
                 assert!(queue_wait_s >= 0.0 && service_s > 0.0);
                 assert!(stats.cycles > 0);
                 assert!(spans.is_empty(), "no spans unless requested");
@@ -541,7 +468,7 @@ mod tests {
         j.trace_id = 99;
         w.try_dispatch(j).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Completion::Done { stats, spans, .. } => {
+            Completion::Done(Served { stats, spans, .. }) => {
                 assert!(!spans.is_empty());
                 assert!(spans.iter().all(|s| s.trace_id == 99));
                 // The Run spans' cycles reconcile with the stats.

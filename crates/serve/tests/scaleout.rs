@@ -14,8 +14,8 @@ use std::time::Duration;
 use bw_bfp::BfpFormat;
 use bw_core::NpuConfig;
 use bw_gir::{LowerOptions, ModelArtifact, ShardedArtifact};
-use bw_serve::demo::{demo_input, mlp_graph};
-use bw_serve::{NetworkModel, ServeError, Server};
+use bw_serve::demo::{demo_input, mlp_artifact, mlp_graph, sharded_mlp};
+use bw_serve::{BatchItem, NetworkModel, ServeError, Server};
 
 const DEADLINE: Duration = Duration::from_secs(10);
 const WIDTHS: &[usize] = &[64, 256, 32];
@@ -301,4 +301,81 @@ fn down_link_routes_around_the_worker() {
     let m = server.metrics();
     let group = m.models.iter().find(|r| r.model == "big").unwrap();
     assert_eq!((group.completed, group.failed), (1, 0));
+}
+
+/// Dropping an unwaited group request fails it on the group row and on
+/// every member row it still has in flight; no row leaks a request.
+#[test]
+fn dropped_group_pending_fails_the_group_and_its_in_flight_members() {
+    let server = Server::builder()
+        .sharded_model(sharded())
+        .replicas(4)
+        .spawn()
+        .unwrap();
+    let pending = server
+        .client()
+        .submit("big", &demo_input(WIDTHS[0], 1), DEADLINE)
+        .unwrap();
+    drop(pending);
+
+    let m = server.metrics();
+    let row = |name: &str| m.models.iter().find(|r| r.model == name).unwrap();
+    let group = row("big");
+    assert_eq!((group.submitted, group.completed, group.failed), (1, 0, 1));
+    for member in ["big#g0s0", "big#g0s1"] {
+        let r = row(member);
+        assert_eq!((r.submitted, r.failed), (1, 1), "{member} was in flight");
+    }
+    for r in &m.models {
+        assert_eq!(r.completed + r.shed + r.failed, r.submitted, "{}", r.model);
+    }
+}
+
+/// A coalesced batch against a shard group runs all k columns through
+/// each shard of each stage in one dispatch, bit-identical per column
+/// to the whole model on one device.
+#[test]
+fn group_batch_runs_every_column_through_each_shard_bit_identically() {
+    let widths = [16, 64, 8];
+    let group = sharded_mlp("grp", &widths, 5, 512);
+    assert!(group.max_width() >= 2, "the wide layer shards");
+    let server = Server::builder()
+        .sharded_model(group)
+        .replicas(2)
+        .spawn()
+        .unwrap();
+    let mut whole = mlp_artifact("whole", &widths, 5).pin().unwrap();
+
+    let inputs: Vec<Vec<f32>> = (0..4).map(|i| demo_input(widths[0], i)).collect();
+    let items: Vec<BatchItem> = inputs
+        .iter()
+        .map(|x| BatchItem::new(x.clone(), DEADLINE))
+        .collect();
+    let results = server.client().call_batch("grp", &items);
+    assert_eq!(results.len(), inputs.len());
+    for (x, r) in inputs.iter().zip(results) {
+        assert_eq!(r.unwrap().output, whole.infer(x).unwrap(), "column bits");
+    }
+
+    let m = server.metrics();
+    let group = m.models.iter().find(|r| r.model == "grp").unwrap();
+    assert_eq!((group.submitted, group.completed), (4, 4));
+    assert_eq!((group.batches, group.batched_requests), (1, 4));
+    let members: Vec<_> = m
+        .models
+        .iter()
+        .filter(|r| r.model.starts_with("grp#"))
+        .collect();
+    assert!(members.len() >= 3, "two shards and a whole segment");
+    for r in members {
+        assert_eq!(
+            (r.submitted, r.completed),
+            (1, 1),
+            "{}: one dispatch per shard per stage",
+            r.model
+        );
+    }
+    for r in &m.models {
+        assert_eq!(r.completed + r.shed + r.failed, r.submitted, "{}", r.model);
+    }
 }

@@ -16,10 +16,10 @@ fn one_request_traces_end_to_end() {
     let artifact = mlp_artifact("mlp", &[16, 32, 8], 7);
     // Reference run on a locally pinned instance: the served request must
     // attribute exactly these counters (same firmware, same input).
-    let (_, want) = artifact
+    let (_, want, _) = artifact
         .pin()
         .unwrap()
-        .infer_with_stats(&demo_input(16, 0))
+        .infer_batch(&[demo_input(16, 0)], None)
         .unwrap();
     assert!(want.cycles > 0 && want.mvm_macs > 0);
 
