@@ -96,8 +96,6 @@ fn batcher_for(server: &Server, cap: usize) -> Batcher {
         server.client(),
         BatchConfig {
             max_batch: cap,
-            max_hold: Duration::from_millis(2),
-            slack_fraction: 0.25,
             dispatchers: 4,
         },
     )

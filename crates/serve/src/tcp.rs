@@ -16,10 +16,11 @@
 //! - a FIFO of pending response tickets, so responses go out in request
 //!   order even though inference completes asynchronously.
 //!
-//! Inference requests are routed through a [`Batcher`], which coalesces
-//! compatible same-model requests inside a deadline-slack-derived hold
-//! window into one multi-column NPU dispatch (`max_batch: 1` restores
-//! strict batch-1 semantics). Metrics and Prometheus requests are
+//! Inference requests are routed through a [`Batcher`], which dispatches
+//! a request at once when a dispatcher is idle and coalesces compatible
+//! same-model requests that queue behind busy ones into one
+//! multi-column NPU dispatch (`max_batch: 1` restores strict batch-1
+//! semantics). Metrics and Prometheus requests are
 //! answered inline. Errors inside a request become `Error` frames;
 //! framing errors poison the connection: it stops reading, drains the
 //! responses it still owes, sends one final `Error` frame, and closes.
@@ -29,6 +30,15 @@
 //! fall back to a short-sleep scan that treats every socket as ready and
 //! relies on the nonblocking reads to sort out who actually was.
 //!
+//! Inference completes off the loop's thread, so each loop also polls a
+//! **wake fd** (on unix, one end of a socket pair): the batcher writes a
+//! byte to it when a reply for one of the loop's connections lands, or
+//! when a member is dropped unanswered. An `armed` flag coalesces those
+//! writes to one per loop iteration, and the loop re-arms it *before*
+//! collecting replies, so no completion goes unnoticed. The poll timeout
+//! therefore only paces the check for shutdown, which wakes every loop
+//! as well.
+//!
 //! [`wire`]: crate::wire
 
 use std::collections::VecDeque;
@@ -37,6 +47,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -54,7 +65,7 @@ pub struct TcpFrontendConfig {
     /// Event-loop threads sharing the listener. Each owns the
     /// connections it accepted for their whole lifetime.
     pub event_loops: usize,
-    /// The admission-batching window applied to inference requests.
+    /// The admission batcher applied to inference requests.
     /// `max_batch: 1` disables coalescing (strict batch-1 serving).
     pub batch: BatchConfig,
 }
@@ -74,9 +85,11 @@ pub struct TcpFrontend {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     loops: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    // Held so the coalescing window outlives every event loop; the last
-    // Arc drop (after the joins) flushes and joins the batcher's own
-    // threads.
+    /// One per event loop (none without a wake fd), rung on shutdown.
+    wakers: Vec<Waker>,
+    // Held so the batcher outlives every event loop; the last Arc drop
+    // (after the joins) dispatches whatever is still queued and joins
+    // the batcher's own threads.
     _batcher: Arc<Batcher>,
 }
 
@@ -108,26 +121,31 @@ impl TcpFrontend {
         let stop = Arc::new(AtomicBool::new(false));
         let batcher = Arc::new(Batcher::new(server.client(), cfg.batch));
 
-        let loops = (0..cfg.event_loops.max(1))
-            .map(|i| {
-                let mut event_loop = EventLoop {
-                    listener: Arc::clone(&listener),
-                    client: server.client(),
-                    batcher: Arc::clone(&batcher),
-                    stop: Arc::clone(&stop),
-                    conns: Vec::new(),
-                };
+        let mut loops = Vec::new();
+        let mut wakers = Vec::new();
+        for i in 0..cfg.event_loops.max(1) {
+            let mut event_loop = EventLoop {
+                listener: Arc::clone(&listener),
+                client: server.client(),
+                batcher: Arc::clone(&batcher),
+                stop: Arc::clone(&stop),
+                wake: wake::WakeFd::new()?,
+                conns: Vec::new(),
+            };
+            wakers.extend(event_loop.wake.waker().cloned());
+            loops.push(
                 std::thread::Builder::new()
                     .name(format!("bw-serve-loop-{i}"))
                     .spawn(move || event_loop.run())
-                    .expect("event loop thread spawns")
-            })
-            .collect();
+                    .expect("event loop thread spawns"),
+            );
+        }
 
         Ok(TcpFrontend {
             addr: local,
             stop,
             loops: Mutex::new(loops),
+            wakers,
             _batcher: batcher,
         })
     }
@@ -140,6 +158,9 @@ impl TcpFrontend {
     /// Stops the event loops and joins them.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            waker.wake_by_ref();
+        }
         for handle in self.loops.lock().drain(..) {
             let _ = handle.join();
         }
@@ -218,6 +239,107 @@ mod readiness {
             f.revents = f.events;
         }
         fds.len() as isize
+    }
+}
+
+/// Each event loop's wake fd: the read end of a socket pair sits in the
+/// poll set, and [`Waker`]s over the write end travel with the loop's
+/// inference requests through [`Batcher`].
+#[cfg(unix)]
+mod wake {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::task::{Wake, Waker};
+
+    pub struct WakeFd {
+        rx: UnixStream,
+        shared: Arc<WriteEnd>,
+        waker: Waker,
+    }
+
+    struct WriteEnd {
+        tx: UnixStream,
+        /// Set while the loop wants a byte. The first wake after a
+        /// re-arm clears it and writes; later ones skip the syscall.
+        /// Both sides swap it (`AcqRel`), so a wake that finds it clear
+        /// happens-before the re-arm that sets it again, and the reply
+        /// sent before that wake is visible to the loop's next check.
+        armed: AtomicBool,
+    }
+
+    impl Wake for WriteEnd {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            if self.armed.swap(false, Ordering::AcqRel) {
+                // A full buffer (`WouldBlock`) already holds a wake-up;
+                // a closed read end means the loop has exited.
+                let _ = (&self.tx).write(&[1]);
+            }
+        }
+    }
+
+    impl WakeFd {
+        pub fn new() -> std::io::Result<WakeFd> {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            let shared = Arc::new(WriteEnd {
+                tx,
+                armed: AtomicBool::new(true),
+            });
+            let waker = Waker::from(Arc::clone(&shared));
+            Ok(WakeFd { rx, shared, waker })
+        }
+
+        pub fn fd(&self) -> i32 {
+            super::raw_fd(&self.rx)
+        }
+
+        pub fn waker(&self) -> Option<&Waker> {
+            Some(&self.waker)
+        }
+
+        /// Empties the read end if `poll` reported it readable, then
+        /// re-arms. Runs before the loop collects replies: one landing
+        /// after the re-arm writes a fresh byte, one landing before it
+        /// is already in its channel.
+        pub fn rearm(&self, readable: bool) {
+            if readable {
+                let mut buf = [0u8; 64];
+                while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+            }
+            self.shared.armed.swap(true, Ordering::AcqRel);
+        }
+    }
+}
+
+/// Without a socket pair there is no wake fd: the fallback poll's short
+/// sleep bounds how late a completion is noticed.
+#[cfg(not(unix))]
+mod wake {
+    use std::task::Waker;
+
+    pub struct WakeFd;
+
+    impl WakeFd {
+        pub fn new() -> std::io::Result<WakeFd> {
+            Ok(WakeFd)
+        }
+
+        pub fn fd(&self) -> i32 {
+            -1
+        }
+
+        pub fn waker(&self) -> Option<&Waker> {
+            None
+        }
+
+        pub fn rearm(&self, _readable: bool) {}
     }
 }
 
@@ -338,23 +460,27 @@ struct EventLoop {
     client: Client,
     batcher: Arc<Batcher>,
     stop: Arc<AtomicBool>,
+    wake: wake::WakeFd,
     conns: Vec<Conn>,
 }
+
+/// How long `poll` sleeps with nothing ready. Completions and shutdown
+/// arrive on the wake fd, so this only paces the `stop` check.
+const POLL_TIMEOUT_MS: i32 = 100;
 
 impl EventLoop {
     fn run(&mut self) {
         use readiness::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
         while !self.stop.load(Ordering::Acquire) {
-            // Responses can complete without any socket event, so poll
-            // with a short timeout while replies are in flight and a
-            // long one when fully idle.
-            let waiting = self.conns.iter().any(|c| !c.pending.is_empty());
-            let timeout_ms = if waiting { 1 } else { 25 };
-
-            let mut fds = Vec::with_capacity(self.conns.len() + 1);
+            let mut fds = Vec::with_capacity(self.conns.len() + 2);
             fds.push(PollFd {
                 fd: raw_fd(&*self.listener),
+                events: POLLIN,
+                revents: 0,
+            });
+            fds.push(PollFd {
+                fd: self.wake.fd(),
                 events: POLLIN,
                 revents: 0,
             });
@@ -372,13 +498,14 @@ impl EventLoop {
                     revents: 0,
                 });
             }
-            readiness::poll(&mut fds, timeout_ms);
+            readiness::poll(&mut fds, POLL_TIMEOUT_MS);
 
             if fds[0].revents & POLLIN != 0 {
                 self.accept_ready();
             }
 
-            for (conn, fd) in self.conns.iter_mut().zip(&fds[1..]) {
+            let waker = self.wake.waker();
+            for (conn, fd) in self.conns.iter_mut().zip(&fds[2..]) {
                 if fd.revents & (POLLERR | POLLHUP) != 0 {
                     // Let the read path observe the close/error so owed
                     // responses are not silently dropped on a half-close.
@@ -386,9 +513,11 @@ impl EventLoop {
                 }
                 if fd.revents & POLLIN != 0 && !conn.poisoned && !conn.closed {
                     conn.read_ready();
-                    parse_frames(conn, &self.client, &self.batcher);
+                    parse_frames(conn, &self.client, &self.batcher, waker);
                 }
             }
+
+            self.wake.rearm(fds[1].revents & POLLIN != 0);
 
             for conn in &mut self.conns {
                 if conn.closed {
@@ -432,7 +561,7 @@ impl EventLoop {
 
 /// Peels complete frames off `conn.rbuf` and turns each into a pending
 /// reply ticket. A framing or decode error poisons the connection.
-fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher) {
+fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher, waker: Option<&Waker>) {
     while !conn.poisoned {
         let payload = match try_extract_frame(&mut conn.rbuf) {
             Ok(Some(p)) => p,
@@ -448,7 +577,12 @@ fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher) {
                 deadline_us,
                 input,
             }) => {
-                let rx = batcher.submit(&model, input, Duration::from_micros(deadline_us));
+                let rx = batcher.submit_waking(
+                    &model,
+                    input,
+                    Duration::from_micros(deadline_us),
+                    waker.cloned(),
+                );
                 conn.pending.push_back(PendingReply::Infer(rx));
             }
             Ok(WireRequest::Metrics) => {

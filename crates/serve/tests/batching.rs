@@ -1,7 +1,7 @@
 //! Admission batching end to end: coalesced multi-column dispatches must
 //! be bit-identical to sequential batch-1 serving, keep the accounting
-//! identity through mid-batch worker kills, and never let the hold
-//! window convert a meetable deadline into a breach.
+//! identity through mid-batch worker kills, and never let waiting in the
+//! coalescing queue convert a meetable deadline into a breach.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -174,24 +174,22 @@ fn mid_batch_worker_kill_keeps_the_accounting_identity() {
     assert!(!m.workers_alive[0], "worker 0 stays dead");
 }
 
-/// The batcher's hold budget is carved out of deadline slack, so waiting
-/// in the coalescing window must never turn a meetable request into a
-/// deadline breach — even when the window never fills and the request
-/// waits out its whole hold.
+/// The batcher holds a request only while every dispatcher is busy, so
+/// waiting in the coalescing queue must never turn a meetable request
+/// into a deadline breach — even with a window far larger than the
+/// offered load, which never fills.
 #[test]
 fn hold_time_never_breaches_a_deadline() {
     let server = Server::builder()
         .model(mlp_artifact("mlp", &[16, 32, 8], 5))
         .spawn()
         .unwrap();
-    // max_batch of 16 with a single submitter: every request waits out
-    // its full hold budget before dispatch.
+    // max_batch of 16 with a single submitter: the window never fills,
+    // and each request dispatches alone as soon as it arrives.
     let batcher = Batcher::new(
         server.client(),
         BatchConfig {
             max_batch: 16,
-            max_hold: Duration::from_millis(50),
-            slack_fraction: 1.0,
             dispatchers: 2,
         },
     );
@@ -246,8 +244,6 @@ proptest! {
             server.client(),
             BatchConfig {
                 max_batch,
-                max_hold: Duration::from_millis(5),
-                slack_fraction: 0.25,
                 dispatchers: 2,
             },
         );

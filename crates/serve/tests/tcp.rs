@@ -1,6 +1,6 @@
 //! TCP front-end round trips: the wire protocol against a live server.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_serve::demo::{demo_input, mlp_artifact};
 use bw_serve::{ServeError, Server, TcpClient, TcpFrontend};
@@ -114,5 +114,34 @@ fn sla_rejections_cross_the_wire_typed() {
     let m = server.metrics();
     assert_eq!(m.models[0].submitted, 1, "the rejection was never admitted");
 
+    frontend.shutdown();
+}
+
+/// A lone request pays no coalescing hold (an idle dispatcher takes it at
+/// once) and no poll tick (its completion wakes the event loop). Holding
+/// it for company would cost milliseconds per call; a lost wake-up would
+/// cost a whole poll timeout.
+#[test]
+fn lone_requests_round_trip_without_hold_or_tick() {
+    let server = Server::builder()
+        .model(mlp_artifact("m", &[16, 8], 3))
+        .spawn()
+        .unwrap();
+    let frontend = TcpFrontend::bind(&server, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(frontend.addr()).unwrap();
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|i| {
+            let started = Instant::now();
+            let resp = client.call("m", &demo_input(16, i), DEADLINE).unwrap();
+            assert_eq!(resp.output.len(), 8);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(1500),
+        "lone-request median round trip {median:?} (sorted: {round_trips:?})"
+    );
     frontend.shutdown();
 }
