@@ -1,6 +1,6 @@
 //! Deep-dive profiler: runs one DeepBench RNN on the simulated BW_S10
-//! with full tracing and emits both a Perfetto-loadable Chrome trace and
-//! a bottleneck report built on the chain-trace rollup.
+//! with a span sink armed and emits both a Perfetto-loadable Chrome trace
+//! and a bottleneck report rolled up from the same spans.
 //!
 //! Usage: `cargo run --release -p bw-bench --bin profile [-- flags]`
 //!
@@ -11,15 +11,18 @@
 //! - `--quick`         CI smoke mode: small model, few steps
 //! - `--trace-out P`   Chrome trace JSON path (default TRACE_profile.json)
 //! - `--report-out P`  bottleneck report path (default REPORT_profile.json)
-//! - `--validate`      re-parse the emitted trace and exit nonzero unless
-//!   it holds at least one complete span
+//! - `--validate`      exit nonzero unless the emitted trace re-parses with
+//!   at least one complete span and the report's totals equal the run's
+//!   `RunStats` (dep wait, resource wait, MVM busy, chains, end cycle)
 //!
 //! Open the trace at <https://ui.perfetto.dev> (or `chrome://tracing`):
 //! one process per NPU, with lanes for the pipeline, MVM/MFU streams, and
 //! exposed stalls.
 
 use bw_bench::bw_s10_sized;
-use bw_core::{ExecMode, KernelMode, Npu, NpuConfig, SpanCollector, SpanKind, TraceSummary};
+use bw_core::{
+    ExecMode, KernelMode, KindSummary, Npu, NpuConfig, SpanCollector, SpanKind, TraceSummary,
+};
 use bw_models::{Gru, Lstm, RnnBenchmark, RnnKind};
 use bw_trace::{chrome_trace_json, spans_to_chrome, validate_chrome_trace};
 
@@ -91,21 +94,18 @@ fn main() {
     let bench = RnnBenchmark::new(args.kind, hidden, steps);
     eprintln!("profiling {} on BW_S10 (timing-only, traced)", bench.name());
 
-    // Same harness as `run_bw_s10`, with both trace paths armed: the
-    // chain trace (for the bottleneck rollup) and a span sink (for the
-    // Perfetto export).
+    // Same harness as `run_bw_s10`, with a span sink armed: its spans
+    // feed both the Perfetto export and the bottleneck rollup.
     let collector = SpanCollector::new();
-    let (clock_hz, stats, chain_trace) = {
+    let (clock_hz, stats) = {
         let base_cfg = NpuConfig::bw_s10();
         let run = |cfg: NpuConfig, f: &dyn Fn(&mut Npu) -> bw_core::RunStats| {
             let clock_hz = cfg.clock_hz();
             let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
             npu.set_kernel_mode(KernelMode::Fast);
-            npu.set_trace(true);
             npu.set_trace_sink(Some(collector.handle()));
             npu.set_trace_context(1, 0);
-            let stats = f(&mut npu);
-            (clock_hz, stats, npu.take_trace())
+            (clock_hz, f(&mut npu))
         };
         match bench.kind {
             RnnKind::Lstm => {
@@ -139,7 +139,7 @@ fn main() {
     );
 
     // Bottleneck report.
-    let summary = TraceSummary::from_trace(&chain_trace);
+    let summary = TraceSummary::from_spans(&spans);
     let ops = bench.ops();
     let mut kinds = String::new();
     for (i, (name, k)) in summary.kinds.iter().enumerate() {
@@ -158,9 +158,10 @@ fn main() {
         ));
     }
     let worst = match summary.worst_dep_stall {
-        Some((idx, cycles)) => {
-            format!("{{\"trace_index\": {idx}, \"exposed_cycles\": {cycles}}}")
-        }
+        Some(w) => format!(
+            "{{\"chain\": {}, \"exposed_cycles\": {}}}",
+            w.chain, w.cycles
+        ),
         None => "null".into(),
     };
     let report = format!(
@@ -196,6 +197,35 @@ fn main() {
             );
             std::process::exit(1);
         }
-        eprintln!("validated: {complete} complete spans, {runs} run spans");
+        let sum = |f: fn(&KindSummary) -> u64| summary.kinds.values().map(f).sum::<u64>();
+        let mvm_busy = summary.kinds.get("mvm").map_or(0, |k| k.busy_cycles);
+        let identities = [
+            (
+                "dep wait",
+                sum(|k| k.dep_wait_cycles),
+                stats.dep_stall_cycles,
+            ),
+            (
+                "resource wait",
+                sum(|k| k.resource_wait_cycles),
+                stats.resource_stall_cycles,
+            ),
+            ("mvm busy", mvm_busy, stats.mvm_busy_cycles),
+            ("chains", sum(|k| k.chains), stats.chains),
+            ("end cycle", summary.end_cycle, stats.cycles),
+        ];
+        let mut broken = false;
+        for (name, report, run) in identities {
+            if report != run {
+                eprintln!("FAIL: report {name} {report} != RunStats {run}");
+                broken = true;
+            }
+        }
+        if broken {
+            std::process::exit(1);
+        }
+        eprintln!(
+            "validated: {complete} complete spans, {runs} run spans, report totals equal RunStats"
+        );
     }
 }

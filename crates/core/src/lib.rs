@@ -72,8 +72,8 @@ pub use analysis::{
 };
 pub use config::{ConfigError, NpuConfig, NpuConfigBuilder, TimingParams};
 pub use hdd::{DispatchLevel, HddExpansion};
-pub use npu::{ChainKind, ChainTrace, ExecMode, KernelMode, Npu, SimError};
+pub use npu::{ChainKind, ExecMode, KernelMode, Npu, SimError};
 pub use stats::RunStats;
 pub use trace::{SinkHandle, SpanCollector, SpanKind, SpanRecord, TraceId, TraceSink};
-pub use trace_report::{KindSummary, TraceSummary};
+pub use trace_report::{KindSummary, StallSite, TraceSummary};
 pub use validate::{ValidateError, ValidateErrorKind};

@@ -47,6 +47,9 @@ use crate::mvm;
 use crate::stats::RunStats;
 use crate::trace::{SinkHandle, SpanKind, SpanRecord, TraceId};
 
+/// A chain's exposed stall, as `(DepStall | ResourceStall, from, to)`.
+type Stall = Option<(SpanKind, u64, u64)>;
+
 /// Whether a run computes real values or only models time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
@@ -105,24 +108,6 @@ pub enum ChainKind {
     Move,
     /// A matrix move (`m_rd` → `m_wr`, on the memory path).
     MatrixMove,
-}
-
-/// One chain's timing record, collected when tracing is enabled with
-/// [`Npu::set_trace`]. All times are cycles.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChainTrace {
-    /// Which resource the chain used.
-    pub kind: ChainKind,
-    /// When the control processor finished streaming the chain.
-    pub dispatched_at: u64,
-    /// The earliest start its data dependencies allowed.
-    pub dep_ready_at: u64,
-    /// When it actually started (max of dispatch, dependencies, resource).
-    pub start: u64,
-    /// Cycles it occupied its resource.
-    pub occupancy: u64,
-    /// When its results became architecturally visible.
-    pub completion: u64,
 }
 
 /// Error produced while loading state or executing a program.
@@ -311,7 +296,6 @@ pub struct Npu {
     mfu_free_at: u64,
     mem_free_at: u64,
     stats: RunStats,
-    trace: Option<Vec<ChainTrace>>,
     /// Structured span stream (see [`crate::trace`]); `None` — the
     /// default — costs one branch per chain and allocates nothing.
     sink: Option<SinkHandle>,
@@ -352,7 +336,6 @@ impl Npu {
             mfu_free_at: 0,
             mem_free_at: 0,
             stats: RunStats::default(),
-            trace: None,
             sink: None,
             trace_id: 0,
             trace_device: 0,
@@ -384,26 +367,11 @@ impl Npu {
         self.kernel = kernel;
     }
 
-    /// Enables or disables per-chain trace collection. Enabling clears any
-    /// previously collected trace.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// Takes the collected trace (empty if tracing was never enabled).
-    /// Tracing stays enabled.
-    pub fn take_trace(&mut self) -> Vec<ChainTrace> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
-    }
-
     /// Installs (or removes) a structured span sink. While a sink is
     /// installed every run emits [`SpanRecord`]s — chain, MVM/MFU
     /// streaming, stall, and run-envelope spans — tagged with the context
     /// set by [`Npu::set_trace_context`]. `None` (the default) restores
-    /// the zero-cost path. Independent of [`Npu::set_trace`].
+    /// the zero-cost path.
     pub fn set_trace_sink(&mut self, sink: Option<SinkHandle>) {
         self.sink = sink;
     }
@@ -428,6 +396,47 @@ impl Npu {
                 start_cycle,
                 end_cycle,
             });
+        }
+    }
+
+    /// The one stall rule. A chain starts at the latest of its dispatch,
+    /// its data dependencies and its resource; the wait is charged to
+    /// data if the dependencies cleared strictly last, else to the
+    /// resource if it cleared strictly last, else to neither. Charges
+    /// `RunStats` and returns the start with the stall interval, which
+    /// [`Npu::emit_chain`] emits — so the counters and the stall
+    /// spans agree by construction.
+    fn schedule(&mut self, dep_ready: u64, resource_free: u64) -> (u64, Stall) {
+        let without_deps = self.nios_cursor.max(resource_free);
+        let ready = self.nios_cursor.max(dep_ready);
+        let stall = if dep_ready > without_deps {
+            self.stats.dep_stall_cycles += dep_ready - without_deps;
+            Some((SpanKind::DepStall, without_deps, dep_ready))
+        } else if resource_free > ready {
+            self.stats.resource_stall_cycles += resource_free - ready;
+            Some((SpanKind::ResourceStall, ready, resource_free))
+        } else {
+            None
+        };
+        (ready.max(resource_free), stall)
+    }
+
+    /// Emits one chain's spans, if a sink is installed: the chain itself
+    /// (start to retire), its MVM or MFU stream of `stream` cycles, and
+    /// its stall interval from [`Npu::schedule`].
+    fn emit_chain(&self, kind: ChainKind, start: u64, stream: u64, end: u64, stall: Stall) {
+        if self.sink.is_none() {
+            return;
+        }
+        let ordinal = self.stats.chains;
+        self.emit_span(SpanKind::Chain(kind), ordinal, start, end);
+        match kind {
+            ChainKind::Mvm => self.emit_span(SpanKind::MvmStream, ordinal, start, start + stream),
+            ChainKind::Mfu => self.emit_span(SpanKind::MfuStream, ordinal, start, start + stream),
+            ChainKind::Move | ChainKind::MatrixMove => {}
+        }
+        if let Some((kind, from, to)) = stall {
+            self.emit_span(kind, ordinal, from, to);
         }
     }
 
@@ -830,32 +839,11 @@ impl Npu {
         }
 
         let occupancy = u64::from(count) * u64::from(self.config.timing().dram_tile_cycles);
-        let start = self.nios_cursor.max(dep_ready).max(self.mem_free_at);
+        let (start, stall) = self.schedule(dep_ready, self.mem_free_at);
         self.mem_free_at = start + occupancy;
         let completion = start + occupancy;
         self.stats.cycles = self.stats.cycles.max(completion);
-        if let Some(trace) = &mut self.trace {
-            trace.push(ChainTrace {
-                kind: ChainKind::MatrixMove,
-                dispatched_at: self.nios_cursor,
-                dep_ready_at: dep_ready,
-                start,
-                occupancy,
-                completion,
-            });
-        }
-        if self.sink.is_some() {
-            let ordinal = self.stats.chains;
-            self.emit_span(
-                SpanKind::Chain(ChainKind::MatrixMove),
-                ordinal,
-                start,
-                completion,
-            );
-            if dep_ready > self.nios_cursor {
-                self.emit_span(SpanKind::DepStall, ordinal, self.nios_cursor, dep_ready);
-            }
-        }
+        self.emit_chain(ChainKind::MatrixMove, start, occupancy, completion, stall);
 
         for (i, tile) in tiles.into_iter().enumerate() {
             let i = i as u32;
@@ -1054,38 +1042,26 @@ impl Npu {
         // data moves (v_rd → v_wr with no arithmetic) ride the vector
         // arbitration network and leave both compute resources free.
         let mfu_stream = u64::from(self.config.mfu_stream_cycles());
-        enum Res {
-            Mvm,
-            Mfu,
-            Move,
-        }
-        let (res, resource_free, occupancy) = if mvm_occ > 0 {
+        let (kind, resource_free, occupancy) = if mvm_occ > 0 {
             let out_occ = u64::from(w_out) * mfu_stream;
-            (Res::Mvm, self.mvm_free_at, mvm_occ.max(out_occ))
+            (ChainKind::Mvm, self.mvm_free_at, mvm_occ.max(out_occ))
         } else {
             let stream_occ = u64::from(w_in.max(w_out)) * mfu_stream;
             if chain.mfu_ops() > 0 {
-                (Res::Mfu, self.mfu_free_at, stream_occ)
+                (ChainKind::Mfu, self.mfu_free_at, stream_occ)
             } else {
-                (Res::Move, self.mem_free_at, stream_occ)
+                (ChainKind::Move, self.mem_free_at, stream_occ)
             }
         };
 
-        let start = self.nios_cursor.max(dep_ready).max(resource_free);
-        let other = self.nios_cursor.max(resource_free);
-        if dep_ready > other {
-            self.stats.dep_stall_cycles += dep_ready - other;
-        } else if resource_free > self.nios_cursor.max(dep_ready) {
-            self.stats.resource_stall_cycles += resource_free - self.nios_cursor.max(dep_ready);
-        }
-
-        match res {
-            Res::Mvm => {
+        let (start, stall) = self.schedule(dep_ready, resource_free);
+        match kind {
+            ChainKind::Mvm => {
                 self.mvm_free_at = start + occupancy;
                 self.stats.mvm_busy_cycles += mvm_occ;
             }
-            Res::Mfu => self.mfu_free_at = start + occupancy,
-            Res::Move => self.mem_free_at = start + occupancy,
+            ChainKind::Mfu => self.mfu_free_at = start + occupancy,
+            ChainKind::Move | ChainKind::MatrixMove => self.mem_free_at = start + occupancy,
         }
         self.stats.pipeline_busy_cycles += occupancy;
         let completion = start + occupancy + depth;
@@ -1093,42 +1069,8 @@ impl Npu {
         if let Some((base, count)) = mvm_tiles {
             self.mrf.mark_read_until(base, count, start + occupancy);
         }
-        let kind = match res {
-            Res::Mvm => ChainKind::Mvm,
-            Res::Mfu => ChainKind::Mfu,
-            Res::Move => ChainKind::Move,
-        };
-        if let Some(trace) = &mut self.trace {
-            trace.push(ChainTrace {
-                kind,
-                dispatched_at: self.nios_cursor,
-                dep_ready_at: dep_ready,
-                start,
-                occupancy,
-                completion,
-            });
-        }
-        if self.sink.is_some() {
-            let ordinal = self.stats.chains;
-            self.emit_span(SpanKind::Chain(kind), ordinal, start, completion);
-            match kind {
-                ChainKind::Mvm => {
-                    self.emit_span(SpanKind::MvmStream, ordinal, start, start + mvm_occ);
-                }
-                ChainKind::Mfu => {
-                    self.emit_span(SpanKind::MfuStream, ordinal, start, start + occupancy);
-                }
-                ChainKind::Move | ChainKind::MatrixMove => {}
-            }
-            if dep_ready > other {
-                self.emit_span(SpanKind::DepStall, ordinal, other, dep_ready);
-            } else {
-                let ready = self.nios_cursor.max(dep_ready);
-                if resource_free > ready {
-                    self.emit_span(SpanKind::ResourceStall, ordinal, ready, resource_free);
-                }
-            }
-        }
+        let stream = if mvm_occ > 0 { mvm_occ } else { occupancy };
+        self.emit_chain(kind, start, stream, completion, stall);
 
         // Apply writes and publish ready times.
         if functional && s.cur.len() != w_out as usize * nd {
@@ -1647,11 +1589,28 @@ mod tests {
         assert!(stats.latency_seconds() > 0.0);
     }
 
+    /// Runs `program` with a span sink armed; returns the stats and spans.
+    fn traced(npu: &mut Npu, program: &Program) -> (RunStats, Vec<SpanRecord>) {
+        let collector = crate::SpanCollector::new();
+        npu.set_trace_sink(Some(collector.handle()));
+        let stats = npu.run(program).unwrap();
+        npu.set_trace_sink(None);
+        (stats, collector.drain())
+    }
+
+    /// Σ cycles of the spans of one kind.
+    fn span_cycles(spans: &[SpanRecord], kind: SpanKind) -> u64 {
+        spans
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(SpanRecord::cycles)
+            .sum()
+    }
+
     #[test]
     fn trace_records_every_chain_with_consistent_times() {
         let mut npu = Npu::new(tiny_config());
         identity_grid(&mut npu, 0, 1);
-        npu.set_trace(true);
         npu.push_input(vec![1.0; 4]).unwrap();
         let mut b = ProgramBuilder::new();
         b.set_rows(1).set_cols(1);
@@ -1669,21 +1628,27 @@ mod tests {
             .v_wr(MemId::NetQ, 0)
             .end_chain()
             .unwrap();
-        npu.run(&b.build()).unwrap();
-        let trace = npu.take_trace();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].kind, ChainKind::Move);
-        assert_eq!(trace[1].kind, ChainKind::Mvm);
-        assert_eq!(trace[2].kind, ChainKind::Mfu);
-        for t in &trace {
-            assert!(t.start >= t.dep_ready_at.min(t.dispatched_at));
-            assert!(t.completion >= t.start + t.occupancy);
+        let (stats, spans) = traced(&mut npu, &b.build());
+        let chains: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::Chain(_)))
+            .collect();
+        let kinds: Vec<SpanKind> = chains.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [ChainKind::Move, ChainKind::Mvm, ChainKind::Mfu].map(SpanKind::Chain)
+        );
+        for (i, c) in chains.iter().enumerate() {
+            assert_eq!(c.chain, i as u64 + 1, "ordinals are 1-based and dense");
+            assert!(c.end_cycle > c.start_cycle);
+            assert!(c.end_cycle <= stats.cycles);
         }
         // The dependent chains start only after their producers complete.
-        assert!(trace[1].start >= trace[0].completion);
-        assert!(trace[2].start >= trace[1].completion);
-        // take_trace drains but keeps tracing enabled.
-        assert!(npu.take_trace().is_empty());
+        assert!(chains[1].start_cycle >= chains[0].end_cycle);
+        assert!(chains[2].start_cycle >= chains[1].end_cycle);
+        // The run envelope closes the run's spans.
+        let last = spans.last().unwrap();
+        assert_eq!((last.kind, last.end_cycle), (SpanKind::Run, stats.cycles));
     }
 
     #[test]
@@ -1696,8 +1661,76 @@ mod tests {
             .v_wr(MemId::NetQ, 0)
             .end_chain()
             .unwrap();
-        npu.run(&b.build()).unwrap();
-        assert!(npu.take_trace().is_empty());
+        let program = b.build();
+        assert!(npu.sink.is_none());
+        npu.run(&program).unwrap();
+        // A sink sees only runs made while it is installed.
+        npu.push_input(vec![0.0; 4]).unwrap();
+        let (_, spans) = traced(&mut npu, &program);
+        assert_eq!(spans.iter().filter(|s| s.kind == SpanKind::Run).count(), 1);
+    }
+
+    /// The stall spans sum to the `RunStats` stall counters.
+    fn assert_stalls_match(stats: &RunStats, spans: &[SpanRecord]) {
+        assert_eq!(
+            span_cycles(spans, SpanKind::DepStall),
+            stats.dep_stall_cycles
+        );
+        assert_eq!(
+            span_cycles(spans, SpanKind::ResourceStall),
+            stats.resource_stall_cycles
+        );
+    }
+
+    #[test]
+    fn matrix_move_stalls_match_run_stats() {
+        let mut npu = Npu::new(tiny_config());
+        let format = npu.config().matrix_format();
+        let tile = || BfpMatrix::quantize(4, 4, &[0.5; 16], format).unwrap();
+        // NetQ -> DRAM, then DRAM -> MRF: the second move's data and the
+        // memory path clear on the same cycle, so its wait is charged to
+        // neither stall class and no stall span may claim it either.
+        npu.push_input_matrix(tile());
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1).set_cols(1);
+        b.m_rd(MemId::NetQ, 0)
+            .m_wr(MemId::Dram, 0)
+            .end_chain()
+            .unwrap();
+        b.m_rd(MemId::Dram, 0)
+            .m_wr(MemId::MatrixRf, 0)
+            .end_chain()
+            .unwrap();
+        let (stats, spans) = traced(&mut npu, &b.build());
+        assert_stalls_match(&stats, &spans);
+
+        // A move into the MRF tile an mv_mul is still streaming waits on
+        // that read (a data stall); a move queued behind it waits on the
+        // memory path (a resource stall).
+        identity_grid(&mut npu, 1, 1);
+        npu.load_dram_matrix(1, tile());
+        npu.push_input_at(vec![1.0; 4], 5_000).unwrap();
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1).set_cols(1);
+        b.v_rd(MemId::NetQ, 0)
+            .mv_mul(1)
+            .v_wr(MemId::NetQ, 0)
+            .end_chain()
+            .unwrap();
+        b.m_rd(MemId::Dram, 1)
+            .m_wr(MemId::MatrixRf, 1)
+            .end_chain()
+            .unwrap();
+        b.m_rd(MemId::Dram, 1)
+            .m_wr(MemId::Dram, 2)
+            .end_chain()
+            .unwrap();
+        let (stats, spans) = traced(&mut npu, &b.build());
+        let stalled =
+            |kind: SpanKind, chain: u64| spans.iter().any(|s| s.kind == kind && s.chain == chain);
+        assert!(stalled(SpanKind::DepStall, 2), "WAR on MRF tile 1");
+        assert!(stalled(SpanKind::ResourceStall, 3), "memory path busy");
+        assert_stalls_match(&stats, &spans);
     }
 
     #[test]

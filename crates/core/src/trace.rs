@@ -1,21 +1,20 @@
-//! Structured span tracing: the generalized, propagating form of
-//! [`ChainTrace`](crate::ChainTrace) collection.
+//! Structured span tracing: the one per-chain record the simulator keeps.
 //!
-//! [`Npu::set_trace`](crate::Npu::set_trace) collects flat per-chain
-//! timing records for post-hoc analysis. This module generalizes that
-//! into an *event stream*: the simulator emits [`SpanRecord`]s — chain
-//! dispatch/retire, MVM tile streaming, MFU stream occupancy, stall
-//! intervals, and whole-run envelopes — into a caller-supplied
-//! [`TraceSink`], each record carrying a propagated [`TraceId`] and
-//! device ordinal so a serving layer can attribute accelerator work to
-//! the request that caused it.
+//! The simulator emits [`SpanRecord`]s — chain start/retire, MVM tile
+//! streaming, MFU stream occupancy, stall intervals, and whole-run
+//! envelopes — into a caller-supplied [`TraceSink`], each record carrying
+//! a propagated [`TraceId`] and device ordinal so a serving layer can
+//! attribute accelerator work to the request that caused it. The same
+//! stream feeds the Perfetto export (`bw-trace`) and the bottleneck
+//! report ([`TraceSummary`](crate::TraceSummary)); its stall spans sum to
+//! [`RunStats`](crate::RunStats)' stall counters.
 //!
 //! The stream is zero-cost when disabled: with no sink installed the
 //! simulator performs one `Option` check per chain and allocates
 //! nothing (pinned by `tests/trace_cost.rs`).
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::Serialize;
 
@@ -164,10 +163,7 @@ impl SinkHandle {
     pub fn emit(&self, span: &SpanRecord) {
         // A sink that panicked mid-span poisoned the mutex; keep the
         // stream flowing rather than cascading panics into the simulator.
-        let mut sink = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut sink = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         sink.span(span);
     }
 }
@@ -195,10 +191,7 @@ struct CollectorSink {
 
 impl TraceSink for CollectorSink {
     fn span(&mut self, span: &SpanRecord) {
-        let mut spans = match self.spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         spans.push(*span);
     }
 }
@@ -219,19 +212,16 @@ impl SpanCollector {
 
     /// Takes every span collected so far, leaving the collector empty.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut spans = match self.spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *spans)
     }
 
     /// Spans collected and not yet drained.
     pub fn len(&self) -> usize {
-        match self.spans.lock() {
-            Ok(g) => g.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        self.spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether no spans are pending.

@@ -85,7 +85,9 @@ pub use server::{
     ServerConfig, SpawnError,
 };
 pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
-pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};
+pub use wire::{
+    read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse, MAX_FRAME,
+};
 
 pub use bw_gir::{ModelArtifact, PinnedModel, ShardedArtifact};
 pub use bw_system::{

@@ -1,14 +1,14 @@
-//! Performance debugging with the execution trace: where do a GRU's cycles
-//! go on BW_S10, and which chains expose recurrent-dependence latency?
+//! Performance debugging with the span trace: where do a GRU's cycles go
+//! on BW_S10, and which chains expose recurrent-dependence latency?
 //!
 //! This is the §VII-B2 analysis workflow — "microarchitectural
 //! inefficiencies such as data and structural hazards, pipeline stalls …
 //! conspire to prevent NPU implementations from approaching ideal SDM
-//! latencies" — run against the simulator's own per-chain records.
+//! latencies" — run against the simulator's own span stream.
 //!
 //! Run with: `cargo run --release --example trace_bottleneck`
 
-use brainwave::core::TraceSummary;
+use brainwave::core::{SpanCollector, SpanKind, TraceSummary};
 use brainwave::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,15 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gru = Gru::new(&cfg, RnnDims::square(bench_hidden));
 
     let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-    npu.set_trace(true);
+    let collector = SpanCollector::new();
+    npu.set_trace_sink(Some(collector.handle()));
     let stats = gru.run_timing_only(&mut npu, steps)?;
-    let trace = npu.take_trace();
-    let summary = TraceSummary::from_trace(&trace);
+    let spans = collector.drain();
+    let summary = TraceSummary::from_spans(&spans);
 
     println!(
         "GRU h={bench_hidden}, {steps} steps on BW_S10: {} cycles, {} chains traced\n",
-        stats.cycles,
-        trace.len()
+        stats.cycles, stats.chains
     );
     println!(
         "{:<14} {:>8} {:>12} {:>12} {:>12} {:>10}",
@@ -55,12 +55,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some((idx, stall)) = summary.worst_dep_stall {
-        let t = &trace[idx];
+    if let Some(worst) = summary.worst_dep_stall {
+        let of = |pick: fn(SpanKind) -> bool| {
+            spans
+                .iter()
+                .find(|s| s.chain == worst.chain && pick(s.kind))
+                .expect("the worst stall's chain was traced")
+        };
+        let c = of(|k| matches!(k, SpanKind::Chain(_)));
+        let d = of(|k| k == SpanKind::DepStall);
         println!(
-            "\nworst dependence stall: chain #{idx} ({:?}) waited {stall} cycles on data\n\
-             (dispatched at {}, data ready at {}, started at {})",
-            t.kind, t.dispatched_at, t.dep_ready_at, t.start
+            "\nworst dependence stall: chain #{} ({}) waited {} cycles on data\n\
+             (free to start at {}, data ready at {}, retired at {})",
+            worst.chain,
+            c.kind.label(),
+            worst.cycles,
+            d.start_cycle,
+            d.end_cycle,
+            c.end_cycle
         );
     }
 

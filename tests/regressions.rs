@@ -96,19 +96,37 @@ fn raw_dependency_through_vrf_stalls_consumer() {
     let program = b.build();
 
     let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
-    npu.set_trace(true);
-    let stats = npu.run(&program).unwrap();
+    let (stats, spans) = traced_run(&mut npu, &program);
     assert!(stats.dep_stall_cycles > 0, "consumer must stall on the RAW");
-    let trace = npu.take_trace();
-    assert_eq!(trace.len(), 2);
-    // The consumer cannot start before the producer's write is visible
-    // (minus the forwarding credit, which is what dep_ready_at records).
-    assert!(trace[1].start >= trace[1].dep_ready_at);
-    assert!(trace[1].dep_ready_at > trace[0].start);
+    let chains: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| matches!(s.kind, SpanKind::Chain(_)))
+        .collect();
+    assert_eq!(chains.len(), 2);
+    let stalls: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::DepStall)
+        .collect();
+    assert_eq!(stalls.len(), 1, "only the consumer waits on data");
+    let stall = stalls[0];
+    assert_eq!(stall.chain, chains[1].chain);
+    assert_eq!(stall.cycles(), stats.dep_stall_cycles);
+    // The consumer starts when the producer's write is visible (less the
+    // forwarding credit), after the producer started.
+    assert_eq!(chains[1].start_cycle, stall.end_cycle);
+    assert!(chains[1].start_cycle > chains[0].start_cycle);
+}
+
+/// Runs `program` with a span sink armed; returns its stats and spans.
+fn traced_run(npu: &mut Npu, program: &Program) -> (RunStats, Vec<SpanRecord>) {
+    let collector = SpanCollector::new();
+    npu.set_trace_sink(Some(collector.handle()));
+    let stats = npu.run(program).unwrap();
+    (stats, collector.drain())
 }
 
 /// The trace and statistics are kernel-independent: Fast and Reference
-/// modes must report byte-identical `RunStats` and chain traces.
+/// modes must report identical `RunStats` and span streams.
 #[test]
 fn trace_output_unchanged_by_kernel_mode() {
     let run = |kernel: KernelMode| {
@@ -127,9 +145,7 @@ fn trace_output_unchanged_by_kernel_mode() {
 
         let mut npu = Npu::new(cfg());
         npu.set_kernel_mode(kernel);
-        npu.set_trace(true);
-        let stats = npu.run(&program).unwrap();
-        (stats, npu.take_trace())
+        traced_run(&mut npu, &program)
     };
     let (fast_stats, fast_trace) = run(KernelMode::Fast);
     let (ref_stats, ref_trace) = run(KernelMode::Reference);
